@@ -170,6 +170,20 @@ def _cmd_export_attention(args) -> int:
     return 0
 
 
+BENCH_REPEATS = 5
+
+
+def _median_seconds(fn) -> float:
+    """Median wall time of BENCH_REPEATS calls after one warm-up call."""
+    fn()
+    times = []
+    for _ in range(BENCH_REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def _bench_once(variant: str, n: int, order: int, rng) -> float:
     c_in, c_s = 8, 4
     if variant == "CGNL" and n * c_s > blocks.CGNL_MAX_VERTICES:
@@ -178,9 +192,20 @@ def _bench_once(variant: str, n: int, order: int, rng) -> float:
     cfg = BlockConfig(variant=variant, c_in=c_in, c_s=c_s, order=order)
     x = FeatureMap(height, width, c_in, rng.normal(0, 0.2, size=(n, c_in)))
     params = blocks.random_params(cfg, rng)
-    t0 = time.perf_counter()
-    blocks.block_forward(x, cfg, params)
-    return time.perf_counter() - t0
+    return _median_seconds(lambda: blocks.block_forward(x, cfg, params))
+
+
+def _bench_train_step() -> float:
+    """One SGD step of the toy net with an SNL block: B=32, N=64, c_s=2."""
+    data = harness.gen_dataset(seed=0, n_samples=32, c=4)
+    net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
+    values = np.stack([fm.values for fm, _ in data.samples])
+    labels = np.array([label for _, label in data.samples])
+    velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
+    # lr 0 keeps the weights, so every repeat does the same work
+    return _median_seconds(
+        lambda: harness._sgd_step(net, velocity, values, labels, 0.0, 0.9, step=1)
+    )
 
 
 def _cmd_bench(args) -> int:
@@ -194,6 +219,9 @@ def _cmd_bench(args) -> int:
             t = _bench_once(variant, n, order, rng)
             rows.append(f"{variant},{n},{order},{t:.6f}")
             print(f"{variant:<8} N={n:<6} K={order}  {t:.4f}s")
+    t = _bench_train_step()
+    rows.append(f"train_step,{harness.GRID * harness.GRID},2,{t:.6f}")
+    print(f"train_step N={harness.GRID * harness.GRID:<6} B=32  {t:.4f}s")
     # cost growth in K at fixed N guards against materializing A^k
     n_fixed = sizes[0]
     times = {}
@@ -246,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_export_attention)
 
-    p = sub.add_parser("bench", help="time block_forward per variant")
+    p = sub.add_parser(
+        "bench", help="time block_forward per variant and one SNL training step"
+    )
     p.add_argument("--sizes", default="64,256,1024")
     p.add_argument("--orders", default="2,4,8")
     p.add_argument("--out", default=None, help="directory for bench.csv")

@@ -5,7 +5,7 @@ Laplacian, the criss-cross mask, and the (position, channel) flattening
 used by the compact-generalized variant.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,6 +14,7 @@ from .errors import (
     AffinityOverflowError,
     DegenerateVertexError,
     KernelDomainError,
+    NumericError,
     PreconditionError,
     ShapeError,
 )
@@ -58,43 +59,64 @@ class FeatureMap:
 
 @dataclass
 class AffinityMatrix:
-    """Pairwise-similarity matrix with kernel / normalization provenance."""
+    """Pairwise-similarity matrix with kernel / normalization provenance.
+
+    ``values`` is one (N, N) matrix or a (B, N, N) stack of B graphs; the
+    functions below treat each graph of a stack alone. ``degrees`` is the
+    degree vector (N,) or (B, N) a normalization divided by.
+    """
 
     values: np.ndarray
     kernel: str
     normalization: str = "none"
     symmetrized: bool = False
     mask_applied: bool = False
+    degrees: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = linalg.as_matrix(self.values)
+        if np.ndim(self.values) == 3:
+            self.values = linalg.as_stack(self.values)
+        else:
+            self.values = linalg.as_matrix(self.values)
         if self.kernel not in KERNELS:
             raise PreconditionError(f"unknown kernel {self.kernel!r}")
         if self.normalization not in NORMALIZATIONS:
             raise PreconditionError(f"unknown normalization {self.normalization!r}")
 
 
+def _derived(m: AffinityMatrix, **changes) -> AffinityMatrix:
+    """``m`` with fields replaced, skipping re-validation: symmetrizing and
+    normalizing an affinity that passed its checks keep it finite."""
+    out = object.__new__(AffinityMatrix)
+    out.__dict__.update(m.__dict__, **changes)
+    return out
+
+
 def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
     """Raw pairwise-similarity matrix M over the rows of phi and psi.
 
     dot: M = phi psi^T. exp_dot: M = exp(phi psi^T / sqrt(C_s)), the
-    scaling keeping the exponent bounded for unit-scale features.
+    scaling keeping the exponent bounded for unit-scale features. Takes
+    (N, C_s) matrices or (B, N, C_s) stacks, giving (N, N) or (B, N, N).
     """
-    phi = linalg.as_matrix(phi)
-    psi = linalg.as_matrix(psi)
-    if phi.shape != psi.shape:
+    phi = np.asarray(phi, dtype=np.float64)
+    psi = np.asarray(psi, dtype=np.float64)
+    if phi.shape != psi.shape or phi.ndim not in (2, 3):
         raise ShapeError(f"affinity: phi {phi.shape} vs psi {psi.shape}")
-    s = linalg.matmul(phi, psi.T)
+    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+        raise NumericError("affinity: embedded features contain non-finite entries")
+    s = phi @ psi.swapaxes(-1, -2)
     if kernel == "dot":
         return s
     if kernel == "exp_dot":
-        e = s / np.sqrt(phi.shape[1])
-        m = float(np.max(e))
+        # in place: every fresh (B, N, N) temporary is another pass over memory
+        s /= np.sqrt(phi.shape[-1])
+        m = float(s.max())
         if m > EXP_GUARD:
             raise AffinityOverflowError(
                 f"exp_dot exponent {m:.3g} exceeds guard {EXP_GUARD:g}"
             )
-        return np.exp(e)
+        return np.exp(s, out=s)
     raise PreconditionError(f"unknown kernel {kernel!r}")
 
 
@@ -103,30 +125,35 @@ def compute_affinity(phi: np.ndarray, psi: np.ndarray, kernel: str) -> AffinityM
     return AffinityMatrix(values=kernel_matrix(phi, psi, kernel), kernel=kernel)
 
 
+def _check_square(v: np.ndarray, what: str) -> None:
+    if v.shape[-1] != v.shape[-2]:
+        raise ShapeError(f"{what}: matrix is not square ({v.shape})")
+
+
 def symmetrize(m: AffinityMatrix) -> AffinityMatrix:
     """(M + M^T) / 2; output equals its own transpose bit-exactly."""
     v = m.values
-    if v.shape[0] != v.shape[1]:
-        raise ShapeError(f"symmetrize: matrix is not square ({v.shape})")
+    _check_square(v, "symmetrize")
     if m.normalization != "none":
         raise PreconditionError("symmetrize expects an unnormalized affinity")
-    return replace(m, values=0.5 * (v + v.T), symmetrized=True)
+    values = v + v.swapaxes(-1, -2)
+    values *= 0.5
+    return _derived(m, values=values, symmetrized=True)
 
 
 def degrees(m: AffinityMatrix) -> np.ndarray:
     """Row-sum degree vector; validates the normalization domain."""
     v = m.values
-    if v.shape[0] != v.shape[1]:
-        raise ShapeError(f"normalize: matrix is not square ({v.shape})")
-    if float(np.min(v)) < 0.0:
+    _check_square(v, "normalize")
+    if v.min() < 0.0:
         raise KernelDomainError(
             "affinity has negative entries; degree normalization needs a "
             "nonnegative kernel (use exp_dot)"
         )
-    d = np.sum(v, axis=1)
-    if float(np.min(d)) <= 1e-12:
+    d = v.sum(axis=-1)
+    if d.min() <= 1e-12:
         raise DegenerateVertexError(
-            f"vertex degree {float(np.min(d)):.3g} is not strictly positive"
+            f"vertex degree {float(d.min()):.3g} is not strictly positive"
         )
     return d
 
@@ -136,19 +163,20 @@ def normalize(m: AffinityMatrix, mode: str) -> AffinityMatrix:
 
     random_walk: D^-1 M (rows sum to 1). symmetric: D^-1/2 M_hat D^-1/2
     of a symmetrized input; the result is exactly symmetric with spectrum
-    inside [-1, 1].
+    inside [-1, 1]. The result keeps the degree vector D in ``degrees``.
     """
+    if mode == "symmetric" and not m.symmetrized:
+        raise PreconditionError("symmetric normalization requires symmetrize()")
+    if mode not in ("random_walk", "symmetric"):
+        raise PreconditionError(f"unknown normalization mode {mode!r}")
     d = degrees(m)
     if mode == "random_walk":
-        return replace(m, values=m.values / d[:, None], normalization="random_walk")
-    if mode == "symmetric":
-        if not m.symmetrized:
-            raise PreconditionError("symmetric normalization requires symmetrize()")
+        values = m.values / d[..., :, None]
+    else:
         s = 1.0 / np.sqrt(d)
-        return replace(
-            m, values=m.values * np.outer(s, s), normalization="symmetric"
-        )
-    raise PreconditionError(f"unknown normalization mode {mode!r}")
+        values = s[..., :, None] * s[..., None, :]
+        values *= m.values
+    return _derived(m, values=values, normalization=mode, degrees=d)
 
 
 def scaled_laplacian(a: AffinityMatrix) -> np.ndarray:
@@ -170,17 +198,25 @@ def crisscross_mask(h: int, w: int) -> np.ndarray:
 
 
 def flatten_spatial_channel(z: np.ndarray) -> np.ndarray:
-    """Column-major vectorization: entry (i + j*N) = Z[i, j], as a column."""
-    z = linalg.as_matrix(z)
-    return z.reshape(-1, 1, order="F")
+    """Column-major vectorization: entry (i + j*N) = Z[i, j], as a column.
+
+    Takes an (N, C) matrix or a (B, N, C) stack, giving (N*C, 1) or
+    (B, N*C, 1).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 1:
+        z = z[:, None]
+    return z.swapaxes(-1, -2).reshape(z.shape[:-2] + (-1, 1))
 
 
 def unflatten_spatial_channel(v: np.ndarray, n: int, c: int) -> np.ndarray:
     """Inverse of ``flatten_spatial_channel``."""
-    v = linalg.as_matrix(v)
-    if v.size != n * c:
-        raise ShapeError(f"unflatten: {v.size} values for {n}x{c}")
-    return v.reshape(n, c, order="F")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.shape[-2] * v.shape[-1] != n * c:
+        raise ShapeError(f"unflatten: {v.shape[-2] * v.shape[-1]} values for {n}x{c}")
+    return v.reshape(v.shape[:-2] + (c, n)).swapaxes(-1, -2)
 
 
 def heatmap_image(row: np.ndarray, h: int, w: int) -> np.ndarray:

@@ -174,7 +174,11 @@ def init_toynet(c: int, block_cfg: BlockConfig | None, seed: int) -> ToyNet:
 
 
 def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
-    """Forward pass on stacked samples (B, N, C); returns intermediates."""
+    """Forward pass on stacked samples (B, N, C); returns intermediates.
+
+    The block runs once on the whole stack; its tapes stay in the returned
+    dict for ``_backward_batch``.
+    """
     b, n, c = batch_values.shape
     h, w = net.height, net.width
     grids = batch_values.reshape(b, h, w, c)
@@ -182,11 +186,9 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     rows, cols = _patch_indices(h, w)
     patches = padded[:, rows, cols, :].reshape(b, n, 9 * c)
     act = patches @ net.conv_w + net.conv_b
+    tapes = None
     if net.block_cfg is not None:
-        blocked = np.empty_like(act)
-        for k in range(b):
-            fm = FeatureMap(h, w, c, act[k])
-            blocked[k] = blocks.block_forward(fm, net.block_cfg, net.block_params).values
+        blocked, tapes = blocks.block_forward_batch(act, h, w, net.block_cfg, net.block_params)
     else:
         blocked = act
     pooled = blocked.mean(axis=1)
@@ -194,7 +196,7 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     return {
         "patches": patches,
         "act": act,
-        "blocked": blocked,
+        "tapes": tapes,
         "pooled": pooled,
         "logits": logits,
     }
@@ -212,6 +214,14 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
+    """Gradients of the mean batch loss for every parameter, by name.
+
+    The batch reductions happen here and in the block: head and conv
+    gradients are single products over the stacked batch, and
+    ``blocks.block_backward_batch`` sums the block's per-sample gradients
+    in sample order. Every reduction runs in a fixed order, so a training
+    run is bit-identical across repeats.
+    """
     b, n, c = state["act"].shape
     grads = {
         "head_w": state["pooled"].T @ dlogits,
@@ -220,15 +230,10 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     g_pooled = dlogits @ net.head_w.T
     g_blocked = np.repeat(g_pooled[:, None, :], n, axis=1) / n
     if net.block_cfg is not None:
-        g_act = np.empty_like(g_blocked)
-        for name, mat in net.block_params.items():
-            grads[f"block.{name}"] = np.zeros_like(mat)
-        for k in range(b):  # fixed-order reduction across the batch
-            fm = FeatureMap(net.height, net.width, c, state["act"][k])
-            gx, gp = blocks.block_backward(fm, net.block_cfg, net.block_params, g_blocked[k])
-            g_act[k] = gx
-            for name, mat in gp.items():
-                grads[f"block.{name}"] += mat
+        g_act, block_grads = blocks.block_backward_batch(
+            state["tapes"], net.block_cfg, net.block_params, g_blocked
+        )
+        grads.update((f"block.{name}", mat) for name, mat in block_grads.items())
     else:
         g_act = g_blocked
     grads["conv_w"] = state["patches"].reshape(b * n, -1).T @ g_act.reshape(b * n, c)
@@ -236,8 +241,30 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     return grads
 
 
-def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = 128) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over the full dataset."""
+def _sgd_step(net: ToyNet, velocity: dict, values: np.ndarray, labels: np.ndarray,
+              lr: float, momentum: float, step: int) -> None:
+    """One momentum-SGD step on a batch (one block call forward, one back)."""
+    state = _forward_batch(net, values)
+    loss, dlogits = _softmax_ce(state["logits"], labels)
+    if not np.isfinite(loss):
+        raise DivergenceError(step)
+    grads = _backward_batch(net, state, dlogits)
+    for name, param in net.parameters():
+        v = velocity[name]
+        v *= momentum
+        v += grads[name]
+        param -= lr * v
+
+
+# Evaluation runs in chunks of the default training batch, so the raw and
+# normalized affinities one forward pass keeps (32 x 64 x 64 float64 at
+# N = 64) stay near 1 MiB each, as in a training step.
+EVAL_CHUNK = 32
+
+
+def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = EVAL_CHUNK) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy over the full dataset, ``chunk``
+    samples per forward pass."""
     values = np.stack([fm.values for fm, _ in data.samples])
     labels = np.array([label for _, label in data.samples])
     total_nll = 0.0
@@ -263,7 +290,9 @@ def train(
 ) -> list[dict]:
     """Plain minibatch SGD with momentum on cross-entropy.
 
-    Deterministic given (net, data, seed). Returns the metrics history as a
+    Deterministic given (net, data, seed): each step is one batched block
+    forward and backward, and every sum over the batch runs in a fixed
+    order (see ``_backward_batch``). Returns the metrics history as a
     list of {"step", "loss", "accuracy"} rows evaluated on the full
     training set every ``eval_every`` steps and at the final step.
     """
@@ -275,8 +304,7 @@ def train(
     n_samples = len(labels)
     batch_size = min(batch_size, n_samples)
 
-    named = dict(net.parameters())
-    velocity = {k: np.zeros_like(v) for k, v in named.items()}
+    velocity = {k: np.zeros_like(v) for k, v in net.parameters()}
 
     order = rng.permutation(n_samples)
     cursor = 0
@@ -288,16 +316,7 @@ def train(
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
 
-        state = _forward_batch(net, values[idx])
-        loss, dlogits = _softmax_ce(state["logits"], labels[idx])
-        if not np.isfinite(loss):
-            raise DivergenceError(step)
-        grads = _backward_batch(net, state, dlogits)
-        for name, param in named.items():
-            v = velocity[name]
-            v *= momentum
-            v += grads[name]
-            param -= lr * v
+        _sgd_step(net, velocity, values[idx], labels[idx], lr, momentum, step)
 
         if step % eval_every == 0 or step == steps:
             full_loss, acc = evaluate(net, data)

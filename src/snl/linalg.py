@@ -31,6 +31,19 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
+def as_stack(values) -> np.ndarray:
+    """Validate and return a (B, rows, cols) float64 stack of matrices
+    (finite entries required); the batched counterpart of ``as_matrix``."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim != 3:
+        raise ShapeError(f"expected a (B, rows, cols) stack, got ndim={a.ndim}")
+    # min and max propagate NaN and reach any infinity, so two reductions
+    # find a non-finite entry without a full-size boolean temporary
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise NumericError("matrix stack contains non-finite entries")
+    return a
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order per cell.
 
@@ -70,13 +83,35 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rounds of disjoint index pairs (p < q) that together cover every
+    pair once: the circle method, with a dummy index for odd n."""
+    m = n + n % 2
+    idx = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted(
+            (min(i, j), max(i, j))
+            for i, j in zip(idx[: m // 2], reversed(idx[m // 2 :]))
+            if max(i, j) < n
+        )
+        if pairs:
+            p, q = np.array(pairs).T
+            rounds.append((p, q))
+        idx = [idx[0], idx[-1]] + idx[1:-1]
+    return rounds
+
+
 def jacobi_eigh(s: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below 1e-12 or
-    100 sweeps elapse (then ``ConvergenceError``). Eigenvalues are sorted
-    ascending; each eigenvector column is sign-fixed so its
-    largest-magnitude entry is positive, making the output deterministic.
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (round-robin order); the rotations of one round act on disjoint
+    rows and columns, so they are applied together. Sweeps run until the
+    off-diagonal Frobenius norm drops below 1e-12 or 100 sweeps elapse
+    (then ``ConvergenceError``). Eigenvalues are sorted ascending; each
+    eigenvector column is sign-fixed so its largest-magnitude entry is
+    positive, making the output deterministic.
     """
     s = as_matrix(s)
     n, m = s.shape
@@ -87,38 +122,35 @@ def jacobi_eigh(s: np.ndarray) -> SpectralDecomposition:
 
     a = 0.5 * (s + s.T)
     u = np.eye(n)
+    rounds = _round_robin(n)
     converged = _offdiag_norm(a) < JACOBI_OFF_TOL
     for _ in range(JACOBI_MAX_SWEEPS):
         if converged:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
+        for p, q in rounds:
+            apq = a[p, q]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:  # tau**2 would overflow; use 1/(2 tau)
-                    t = 0.5 / tau
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                u_p = u[:, p].copy()
-                u_q = u[:, q].copy()
-                u[:, p] = c * u_p - sn * u_q
-                u[:, q] = sn * u_p + c * u_q
+                # tau**2 overflows past 1e150; there t = 1/(2 tau)
+                t = np.where(
+                    np.abs(tau) > 1e150,
+                    0.5 / tau,
+                    np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
+                )
+            t = np.where(apq == 0.0, 0.0, t)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sn = t * c
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = c * col_p - sn * col_q
+            a[:, q] = sn * col_p + c * col_q
+            row_p, row_q = a[p, :], a[q, :]
+            a[p, :] = c[:, None] * row_p - sn[:, None] * row_q
+            a[q, :] = sn[:, None] * row_p + c[:, None] * row_q
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            u_p, u_q = u[:, p], u[:, q]
+            u[:, p] = c * u_p - sn * u_q
+            u[:, q] = sn * u_p + c * u_q
         converged = _offdiag_norm(a) < JACOBI_OFF_TOL
     if not converged:
         raise ConvergenceError(

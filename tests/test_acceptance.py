@@ -165,6 +165,7 @@ def test_criterion_5_tied_weight_identities():
     report(5, "tied-weight identities", worst <= 1e-12, f"max rel error {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_6_gradient_correctness():
     t0 = time.perf_counter()
     n_fail = 0
@@ -221,6 +222,7 @@ def gap_ok(runs, cs):
     return ok, "; ".join(details)
 
 
+@pytest.mark.slow
 def test_criterion_7_long_range_mechanism(training_sweep):
     ok, detail = gap_ok(training_sweep, cs=2)
     elapsed = training_sweep["c7_seconds"]
@@ -231,6 +233,7 @@ def test_criterion_7_long_range_mechanism(training_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_reduction_ratio_robustness(training_sweep):
     all_ok = True
     summary = []

@@ -1,9 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
 
-from snl import blocks, graph, linalg
+from snl import blocks, gradcheck, graph, linalg
 from snl.blocks import BlockConfig, BlockParams
-from snl.errors import ConfigError, PreconditionError, ShapeError
+from snl.errors import (
+    AffinityOverflowError,
+    ConfigError,
+    DegenerateVertexError,
+    KernelDomainError,
+    NumericError,
+    PreconditionError,
+    ShapeError,
+)
 from snl.graph import FeatureMap
 
 
@@ -198,3 +208,104 @@ def test_backward_upstream_shape_check():
     x = make_input(np.random.default_rng(14), positive=True)
     with pytest.raises(ShapeError):
         blocks.block_backward(x, cfg, params, np.zeros((3, 4)))
+
+
+# Batched core: a B=3 stack against three B=1 calls, across every variant,
+# both affinity-gradient modes, the dot kernel and a non-square grid.
+BATCH_CASES = (
+    [(v, "exp_dot", bp, 3, 3) for v in blocks.VARIANTS for bp in (True, False)]
+    + [("A2", "dot", bp, 3, 3) for bp in (True, False)]
+    + [(v, "exp_dot", True, 3, 4) for v in blocks.VARIANTS]
+    + [("A2", "dot", True, 3, 4)]
+)
+
+
+def batch_case(variant, kernel, backprop, h, w, seed=20, b=3):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3, kernel=kernel,
+                      backprop_affinity=backprop)
+    rng = np.random.default_rng(seed)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
+    return cfg, params, xs, rng.normal(size=xs.shape)
+
+
+def rel(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@pytest.mark.parametrize("tile_bytes", [blocks.TILE_BYTES, 1])  # 1: one sample per tile
+@pytest.mark.parametrize("variant,kernel,backprop,h,w", BATCH_CASES)
+def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, tile_bytes,
+                                             monkeypatch):
+    monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
+    cfg, params, xs, gs = batch_case(variant, kernel, backprop, h, w)
+    y, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    want_grads = {name: np.zeros_like(mat) for name, mat in params.items()}
+    for k in range(xs.shape[0]):
+        x = FeatureMap(h, w, 4, xs[k])
+        assert rel(y[k], blocks.block_forward(x, cfg, params).values) <= 1e-12
+        gx_k, grads_k = blocks.block_backward(x, cfg, params, gs[k])
+        assert rel(gx[k], gx_k) <= 1e-12
+        for name in want_grads:
+            want_grads[name] += grads_k[name]
+    assert list(grads) == list(want_grads)
+    for name, want in want_grads.items():
+        assert rel(grads[name], want) <= 1e-12 or np.array_equal(grads[name], want), name
+
+
+@pytest.mark.parametrize(
+    "variant,kernel", [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
+)
+def test_batched_backward_finite_differences(variant, kernel):
+    # L = sum(G * Y) over the whole stack; every input entry and parameter
+    # entry checked by central differences
+    cfg, params, xs, gs = batch_case(variant, kernel, True, 3, 4, seed=21, b=2)
+    loss = lambda v, p: float(np.sum(gs * blocks.block_forward_batch(v, 3, 4, cfg, p)[0]))
+    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    scale = max(np.abs(gx).max(), *(np.abs(g).max() for g in grads.values()))
+    num = gradcheck.finite_diff(lambda v: loss(v, params), xs, 1e-6)
+    assert np.max(np.abs(num - gx)) <= 1e-7 * scale
+    for name, mat in params.items():
+        def loss_at(v, name=name):
+            p = copy.deepcopy(params)
+            if name in p.filters:
+                p.filters[name] = v
+            else:
+                setattr(p, name, v)
+            return loss(xs, p)
+        num = gradcheck.finite_diff(loss_at, mat, 1e-6)
+        assert np.max(np.abs(num - grads[name])) <= 1e-7 * scale, name
+
+
+def test_batch_raises_what_a_bad_sample_raises_alone():
+    rng = np.random.default_rng(22)
+    snl = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    nl_dot = BlockConfig(variant="NL", c_in=4, c_s=2, kernel="dot")
+    p_snl = blocks.random_params(snl, rng)
+    p_dot = blocks.random_params(nl_dot, rng)
+    p_dot.w_phi, p_dot.w_psi = np.abs(p_dot.w_phi), np.abs(p_dot.w_psi)
+    normal = rng.normal(0.0, 0.5, size=(4, 9, 4))
+    positive = np.abs(normal) + 0.1  # keeps the dot kernel nonnegative
+    mixed = positive[0] * np.where(np.arange(9)[:, None] % 2, -1.0, 1.0)
+    cases = [
+        (snl, p_snl, normal, rng.normal(size=(9, 4)) * 1e4, AffinityOverflowError),
+        (snl, p_snl, normal, np.full((9, 4), np.nan), NumericError),
+        (nl_dot, p_dot, positive, mixed, KernelDomainError),
+        (nl_dot, p_dot, positive, np.zeros((9, 4)), DegenerateVertexError),
+    ]
+    for cfg, params, good, bad, error in cases:
+        with pytest.raises(error):
+            blocks.block_forward(FeatureMap(3, 3, 4, bad), cfg, params)
+        blocks.block_forward_batch(good, 3, 3, cfg, params)
+        stack = good.copy()
+        stack[2] = bad
+        with pytest.raises(error):
+            blocks.block_forward_batch(stack, 3, 3, cfg, params)
+
+    _, tapes = blocks.block_forward_batch(normal, 3, 3, snl, p_snl)
+    upstream = np.ones_like(normal)
+    upstream[1, 0, 0] = np.inf
+    with pytest.raises(NumericError):
+        blocks.block_backward_batch(tapes, snl, p_snl, upstream)

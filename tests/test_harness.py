@@ -167,3 +167,25 @@ def test_history_csv_rows():
     rows = harness.history_to_csv_rows([{"step": 10, "loss": 0.5, "accuracy": 0.75}])
     assert rows[0] == "step,loss,accuracy"
     assert rows[1].startswith("10,0.5")
+
+
+# Final loss of 20 SNL steps on the seed-0 dataset, recorded from the
+# per-sample implementation the batched block replaced.
+REFERENCE_LOSS = 0.6947283614664882
+
+
+def test_batched_training_reproduces_reference_loss():
+    data = harness.gen_dataset(seed=0, n_samples=512, c=4, p=2, min_separation=5)
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    runs = []
+    for _ in range(2):
+        net = harness.init_toynet(4, cfg, seed=0)
+        hist = harness.train(net, data, steps=20, lr=0.03, seed=0, batch_size=32, eval_every=20)
+        runs.append(hist)
+    assert runs[0] == runs[1]  # bit-identical
+    assert runs[0][-1]["loss"] == pytest.approx(REFERENCE_LOSS, rel=1e-9, abs=0.0)
+    small = harness.evaluate(net, data, chunk=32)
+    whole = harness.evaluate(net, data, chunk=512)
+    assert small == (runs[0][-1]["loss"], runs[0][-1]["accuracy"])
+    assert small[0] == pytest.approx(whole[0], rel=1e-12, abs=0.0)
+    assert small[1] == whole[1]
