@@ -3,7 +3,7 @@ graph filters, unified block variants, and gradient verification."""
 
 from .blocks import BlockConfig, BlockParams, block_backward, block_forward
 from .graph import AffinityMatrix, FeatureMap
-from .linalg import SpectralDecomposition, jacobi_eigh, matmul, rel_error
+from .linalg import SpectralDecomposition, eigh, rel_error
 from .spectral import FilterSpec, poly_filter_apply, spectral_oracle
 
 __all__ = [
@@ -15,8 +15,7 @@ __all__ = [
     "SpectralDecomposition",
     "block_backward",
     "block_forward",
-    "jacobi_eigh",
-    "matmul",
+    "eigh",
     "poly_filter_apply",
     "rel_error",
     "spectral_oracle",

@@ -13,10 +13,6 @@ class SymmetryError(SnlError):
     """A matrix required to be symmetric is not."""
 
 
-class ConvergenceError(SnlError):
-    """An iterative solver did not converge within its sweep budget."""
-
-
 class PreconditionError(SnlError):
     """An operation precondition (beyond shapes) was violated."""
 

@@ -1,8 +1,11 @@
-"""Finite-difference oracle for the analytic block gradients."""
+"""Finite-difference oracle for the analytic block gradients.
 
-from concurrent.futures import ThreadPoolExecutor
+``finite_diff`` probes one entry at a time in a plain loop: each probe is
+two small block forwards, too short for threads to pay for their start-up
+and hand-off under the interpreter lock.
+"""
+
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
@@ -10,18 +13,6 @@ from . import blocks
 from .blocks import BlockConfig, BlockParams
 from .errors import NumericError
 from .graph import FeatureMap
-
-
-def worker_count() -> int:
-    """Worker parallelism cap from SNL_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("SNL_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
 
 
 @dataclass
@@ -36,18 +27,14 @@ class GradReport:
 
 
 def finite_diff(scalar_loss_fn, point: np.ndarray, eps: float) -> np.ndarray:
-    """Central differences (f(x+eps e) - f(x-eps e)) / 2 eps, entrywise.
-
-    Entries are independent and evaluated by a small thread pool (size
-    capped by SNL_THREADS); results do not depend on scheduling.
-    """
+    """Central differences (f(x+eps e) - f(x-eps e)) / 2 eps, entrywise,
+    probing the entries one after another in index order."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     point = np.asarray(point, dtype=np.float64)
     flat = point.ravel()
     out = np.zeros_like(flat)
-
-    def probe(i: int) -> float:
+    for i in range(flat.size):
         bumped = flat.copy()
         bumped[i] = flat[i] + eps
         hi = scalar_loss_fn(bumped.reshape(point.shape))
@@ -55,16 +42,7 @@ def finite_diff(scalar_loss_fn, point: np.ndarray, eps: float) -> np.ndarray:
         lo = scalar_loss_fn(bumped.reshape(point.shape))
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise NumericError(f"loss is non-finite at perturbed entry {i}")
-        return (hi - lo) / (2.0 * eps)
-
-    workers = min(worker_count(), flat.size) or 1
-    if workers == 1:
-        for i in range(flat.size):
-            out[i] = probe(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, v in enumerate(pool.map(probe, range(flat.size))):
-                out[i] = v
+        out[i] = (hi - lo) / (2.0 * eps)
     return out.reshape(point.shape)
 
 

@@ -256,6 +256,11 @@ def _sgd_step(net: ToyNet, velocity: dict, values: np.ndarray, labels: np.ndarra
         param -= lr * v
 
 
+# A diverging run overflows to inf and then NaN inside the forward pass;
+# the finite-loss checks turn that into DivergenceError, so NumPy's own
+# overflow and invalid-value warnings are silenced for train and evaluate.
+DIVERGENCE_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
 # Evaluation runs in chunks of the default training batch, so the raw and
 # normalized affinities one forward pass keeps (32 x 64 x 64 float64 at
 # N = 64) stay near 1 MiB each, as in a training step.
@@ -269,12 +274,13 @@ def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = EVAL_CHUNK) -> 
     labels = np.array([label for _, label in data.samples])
     total_nll = 0.0
     correct = 0
-    for start in range(0, len(labels), chunk):
-        sl = slice(start, start + chunk)
-        state = _forward_batch(net, values[sl])
-        loss, _ = _softmax_ce(state["logits"], labels[sl])
-        total_nll += loss * len(labels[sl])
-        correct += int(np.sum(np.argmax(state["logits"], axis=1) == labels[sl]))
+    with np.errstate(**DIVERGENCE_ERRSTATE):
+        for start in range(0, len(labels), chunk):
+            sl = slice(start, start + chunk)
+            state = _forward_batch(net, values[sl])
+            loss, _ = _softmax_ce(state["logits"], labels[sl])
+            total_nll += loss * len(labels[sl])
+            correct += int(np.sum(np.argmax(state["logits"], axis=1) == labels[sl]))
     return total_nll / len(labels), correct / len(labels)
 
 
@@ -309,20 +315,21 @@ def train(
     order = rng.permutation(n_samples)
     cursor = 0
     history = []
-    for step in range(1, steps + 1):
-        if cursor + batch_size > n_samples:
-            order = rng.permutation(n_samples)
-            cursor = 0
-        idx = order[cursor : cursor + batch_size]
-        cursor += batch_size
+    with np.errstate(**DIVERGENCE_ERRSTATE):
+        for step in range(1, steps + 1):
+            if cursor + batch_size > n_samples:
+                order = rng.permutation(n_samples)
+                cursor = 0
+            idx = order[cursor : cursor + batch_size]
+            cursor += batch_size
 
-        _sgd_step(net, velocity, values[idx], labels[idx], lr, momentum, step)
+            _sgd_step(net, velocity, values[idx], labels[idx], lr, momentum, step)
 
-        if step % eval_every == 0 or step == steps:
-            full_loss, acc = evaluate(net, data)
-            if not np.isfinite(full_loss):
-                raise DivergenceError(step)
-            history.append({"step": step, "loss": full_loss, "accuracy": acc})
+            if step % eval_every == 0 or step == steps:
+                full_loss, acc = evaluate(net, data)
+                if not np.isfinite(full_loss):
+                    raise DivergenceError(step)
+                history.append({"step": step, "loss": full_loss, "accuracy": acc})
     return history
 
 

@@ -24,15 +24,6 @@ def test_finite_diff_nonfinite_loss():
         gradcheck.finite_diff(lambda x: float("nan"), np.zeros(2), 1e-5)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SNL_THREADS", "3")
-    assert gradcheck.worker_count() == 3
-    monkeypatch.setenv("SNL_THREADS", "0")
-    assert gradcheck.worker_count() >= 1
-    monkeypatch.setenv("SNL_THREADS", "junk")
-    assert gradcheck.worker_count() >= 1
-
-
 @pytest.mark.parametrize("variant", ["NL", "SNL", "CGNL", "CC"])
 @pytest.mark.parametrize("backprop", [False, True])
 def test_block_gradients_spot_checks(variant, backprop):

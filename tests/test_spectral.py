@@ -31,7 +31,7 @@ def test_filter_spec_validation():
 
 def test_gft_roundtrip_preserves_norm():
     rng = np.random.default_rng(0)
-    dec = linalg.jacobi_eigh(sym_affinity(rng, 10).values)
+    dec = linalg.eigh(sym_affinity(rng, 10).values)
     z = rng.normal(size=(10, 2))
     z_hat = spectral.gft(dec.eigenvectors, z)
     assert np.max(np.abs(spectral.inverse_gft(dec.eigenvectors, z_hat) - z)) < 1e-12
@@ -43,9 +43,23 @@ def test_gft_rejects_non_orthonormal():
         spectral.gft(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 1)))
 
 
+def test_operand_shape_mismatch_is_typed():
+    u = np.eye(3)
+    with pytest.raises(ShapeError):
+        spectral.gft(u, np.zeros((4, 1)))
+    with pytest.raises(ShapeError):
+        spectral.inverse_gft(u, np.zeros((2, 1)))
+    with pytest.raises(ShapeError):
+        spectral.apply_generalized_filter(u, np.ones(3), np.zeros((4, 1)))
+    a = sym_affinity(np.random.default_rng(10), 3)
+    spec = FilterSpec(order=2, weights=[np.zeros((2, 1))] * 2)
+    with pytest.raises(ShapeError):
+        spectral.poly_filter_apply(a, np.zeros((3, 3)), spec)
+
+
 def test_apply_generalized_filter_matches_manual():
     rng = np.random.default_rng(1)
-    dec = linalg.jacobi_eigh(sym_affinity(rng, 8).values)
+    dec = linalg.eigh(sym_affinity(rng, 8).values)
     u = dec.eigenvectors
     omega = rng.normal(size=8)
     z = rng.normal(size=(8, 3))
@@ -116,6 +130,22 @@ def test_spectral_oracle_agrees_with_poly_filter():
         got = spectral.poly_filter_apply(a, z, FilterSpec(order=4, theta=theta))
         want = spectral.spectral_oracle(a, z, theta)
         assert linalg.rel_error(got, want) < 1e-10
+
+
+def test_spectral_oracle_degenerate_spectrum():
+    # uniform affinity (complete graph): A = 11^T / n has eigenvalue 0 with
+    # multiplicity n - 1, so the eigenbasis is not unique
+    n = 16
+    raw = graph.compute_affinity(np.zeros((n, 3)), np.zeros((n, 3)), "exp_dot")
+    a = graph.normalize(graph.symmetrize(raw), "symmetric")
+    lam = linalg.eigh(a.values).eigenvalues
+    assert np.max(np.abs(lam - np.r_[np.zeros(n - 1), 1.0])) < 1e-12
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=(n, 2))
+    theta = rng.normal(size=4)
+    got = spectral.poly_filter_apply(a, z, FilterSpec(order=4, theta=theta))
+    want = spectral.spectral_oracle(a, z, theta)
+    assert linalg.rel_error(got, want) <= 1e-10
 
 
 def test_spectral_oracle_rejects_asymmetric():
