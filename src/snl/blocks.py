@@ -6,9 +6,13 @@ connection. One batched core serves all variants: ``block_forward_batch``
 takes a (B, N, C) stack and returns the output with a ``Tape`` of
 intermediates, which ``block_backward_batch`` reads, so the affinity is
 built once per forward/backward pair. ``block_forward`` and
-``block_backward`` are B=1 calls of the core on a ``FeatureMap``.
-``generalized_forward`` is the generic polynomial routine the variant
-forwards are checked against.
+``block_backward`` are B=1 calls of the core on a ``FeatureMap``;
+``block_forward`` holds its tape, and ``block_backward`` reads it when
+its arguments match byte for byte, so that pair builds the affinity once
+too. Both passes apply A^k by iterated products, never forming it: the
+forward takes one product with A per power and the backward one with A^T,
+so both cost time linear in K. ``generalized_forward`` is the generic
+polynomial routine the variant forwards are checked against.
 """
 
 from dataclasses import dataclass, field, replace
@@ -383,9 +387,41 @@ def generalized_forward(
     return out
 
 
+# The tapes of the last block_forward and the key of its arguments, held
+# for a block_backward on the same arguments; None when nothing is held.
+# One entry per process, so at most one tape is ever held. Threads that
+# share it can only lose hits: a tape is read only under a matching key,
+# and backward passes never write to a tape.
+_held = None
+
+
+def _forward_key(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> tuple:
+    """Everything a B=1 forward reads: the grid, every config field, the
+    filter names, and a copy of the input and of each parameter array as
+    bytes. Byte strings are the cheapest copy that compares exactly. The
+    arrays are float64 (``FeatureMap`` and ``BlockParams`` convert them),
+    and their shapes need no entry: every backward checks the parameters
+    against the config and the upstream gradient against the input and
+    the tape."""
+    f = params.filters
+    return (x.height, x.width, *vars(cfg).values(), *f, x.values.tobytes(),
+            params.w_phi.tobytes(), params.w_psi.tobytes(), params.w_z.tobytes(),
+            *[a.tobytes() for a in f.values()])
+
+
 def block_forward(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> FeatureMap:
-    """Residual forward pass Y = X + F(A, Z) per the variant's formula."""
-    y, _ = block_forward_batch(x.values[None], x.height, x.width, cfg, params)
+    """Residual forward pass Y = X + F(A, Z) per the variant's formula.
+
+    Holds the forward's tape for a ``block_backward`` on the same
+    arguments, replacing any tape held before.
+    """
+    global _held
+    _held = None  # dropped before the build, so two tapes are never alive
+    key = _forward_key(x, cfg, params)
+    # the tape keeps its own copy of the input: an in-place change of
+    # x.values after this call must not reach a tape the key still matches
+    y, tapes = block_forward_batch(x.values.copy()[None], x.height, x.width, cfg, params)
+    _held = (key, tapes)
     return FeatureMap(x.height, x.width, x.channels, y[0])
 
 
@@ -460,21 +496,48 @@ def block_backward_batch(
     return np.concatenate(gx), grads
 
 
+def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
+    """Reverse mode through F = sum of sign * A^k z_node W_role over a
+    tile: each role's per-sample gradient, dL/dz_node, and dL/dA (None
+    without ``backprop_affinity``).
+
+    g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
+    that read powers[k] and then takes A^T g_p[k + 1] from the power above,
+    highest power first. That is one product with A^T per power and one
+    (V, V) product for dL/dA, so the cost is linear in K.
+    """
+    terms = _variant_terms(cfg)
+    top = max(k for k, _, _ in terms)
+    per_sample = {}
+    g_p = [None] * (top + 1)
+    for k, role, sign in terms:
+        contrib = sign * (_t(tape.powers[k]) @ g)
+        per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
+        r = g @ (sign * params.filters[role]).T
+        g_p[k] = r if g_p[k] is None else g_p[k] + r
+    a_t = _t(tape.a.values)
+    for k in range(top, 0, -1):
+        r = a_t @ g_p[k]
+        g_p[k - 1] = r if g_p[k - 1] is None else g_p[k - 1] + r
+    g_a = None
+    if cfg.backprop_affinity:
+        # dL/dA = sum_k g_p[k] powers[k-1]^T, one product over every k
+        g_a = np.concatenate(g_p[1:], axis=-1) @ _t(np.concatenate(tape.powers[:top], axis=-1))
+    return per_sample, g_p[0], g_a
+
+
 def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """dL/dX of one tile and each parameter's per-sample gradients."""
-    want_ga = cfg.backprop_affinity
-    a_t = _t(tape.a.values)
-    per_sample = {}
     gx = g.copy()
     g_phi = g_psi = None
 
     if cfg.variant == "CGNL":
         n = tape.x.shape[1]
         o = graph.unflatten_spatial_channel(tape.powers[1], n, cfg.c_s)
-        per_sample["w"] = _t(o) @ g
+        per_sample = {"w": _t(o) @ g}
         q = graph.flatten_spatial_channel(g @ params.filters["w"].T)
-        gv = a_t @ q
-        if want_ga:
+        gv = _t(tape.a.values) @ q
+        if cfg.backprop_affinity:
             g_s = _normalization_backward(tape, q @ _t(tape.v))
             if cfg.kernel == "exp_dot":
                 g_s *= tape.m
@@ -482,24 +545,13 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
             gv = gv + g_s @ tape.v + _t(g_s) @ tape.v
         gz = graph.unflatten_spatial_channel(gv, n, cfg.c_s)
     else:
-        g_zn = np.zeros_like(tape.z_node)
-        g_a = None
-        for k, role, sign in _variant_terms(cfg):
-            contrib = sign * (_t(tape.powers[k]) @ g)
-            per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
-            r = g @ (sign * params.filters[role]).T
-            for j in range(k):
-                if want_ga:
-                    g_aj = r @ _t(tape.powers[k - 1 - j])
-                    g_a = g_aj if g_a is None else np.add(g_a, g_aj, out=g_a)
-                r = a_t @ r
-            g_zn += r
+        per_sample, g_zn, g_a = _polynomial_backward(tape, cfg, params, g)
         if cfg.variant == "CC":
             gx += g_zn
             gz = None
         else:
             gz = g_zn
-        if want_ga:
+        if g_a is not None:
             g_s = _normalization_backward(tape, g_a)
             if cfg.kernel == "exp_dot":
                 g_s *= tape.m
@@ -527,11 +579,20 @@ def block_backward(
 
     With ``backprop_affinity`` the gradient also flows through the kernel,
     mask, symmetrization, and degree normalization; otherwise A is treated
-    as a constant.
+    as a constant. When the arguments match the last ``block_forward``'s
+    byte for byte, its held tape is read and the affinity is not built
+    again; otherwise the forward is rerun. Either way the held tape is
+    released. The backward through A^k costs one product with A^T per
+    power, so it is linear in K, like the forward.
     """
+    global _held
+    held, _held = _held, None
     g = linalg.as_matrix(upstream_grad)
     if g.shape != x.values.shape:
         raise ShapeError(f"upstream grad {g.shape} vs output {x.values.shape}")
-    _, tapes = block_forward_batch(x.values[None], x.height, x.width, cfg, params)
+    if held is not None and held[0] == _forward_key(x, cfg, params):
+        tapes = held[1]
+    else:
+        _, tapes = block_forward_batch(x.values[None], x.height, x.width, cfg, params)
     gx, grads = block_backward_batch(tapes, cfg, params, g[None])
     return gx[0], grads

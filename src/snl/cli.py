@@ -184,7 +184,9 @@ def _median_seconds(fn) -> float:
     return float(np.median(times))
 
 
-def _bench_once(variant: str, n: int, order: int, rng) -> float:
+def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -> float:
+    """Median seconds of one block_forward, or of a block_forward plus the
+    block_backward that reads its tape."""
     c_in, c_s = 8, 4
     if variant == "CGNL" and n * c_s > blocks.CGNL_MAX_VERTICES:
         return float("nan")
@@ -192,7 +194,13 @@ def _bench_once(variant: str, n: int, order: int, rng) -> float:
     cfg = BlockConfig(variant=variant, c_in=c_in, c_s=c_s, order=order)
     x = FeatureMap(height, width, c_in, rng.normal(0, 0.2, size=(n, c_in)))
     params = blocks.random_params(cfg, rng)
-    return _median_seconds(lambda: blocks.block_forward(x, cfg, params))
+
+    def call():
+        y = blocks.block_forward(x, cfg, params)
+        if backward:
+            blocks.block_backward(x, cfg, params, y.values)
+
+    return _median_seconds(call)
 
 
 def _bench_train_step() -> float:
@@ -222,18 +230,20 @@ def _cmd_bench(args) -> int:
     t = _bench_train_step()
     rows.append(f"train_step,{harness.GRID * harness.GRID},2,{t:.6f}")
     print(f"train_step N={harness.GRID * harness.GRID:<6} B=32  {t:.4f}s")
-    # cost growth in K at fixed N guards against materializing A^k
-    n_fixed = sizes[0]
-    times = {}
-    for order in orders:
-        t = _bench_once("CHEB_K", n_fixed, order, rng)
-        times[order] = t
-        rows.append(f"CHEB_K,{n_fixed},{order},{t:.6f}")
-        print(f"CHEB_K   N={n_fixed:<6} K={order}  {t:.4f}s")
+    # cost growth in K guards against materializing A^k, forward and
+    # backward; at the largest N the filter dominates the block's cost
+    n_fixed = max(sizes)
     lo, hi = min(orders), max(orders)
-    if times[lo] > 0:
-        print(f"CHEB_K K-scaling: t(K={hi})/t(K={lo}) = {times[hi] / times[lo]:.2f} "
-              f"(linear would be ~{hi / lo:.1f})")
+    for label, backward in (("CHEB_K", False), ("CHEB_K_fwd_bwd", True)):
+        times = {}
+        for order in orders:
+            t = _bench_once("CHEB_K", n_fixed, order, rng, backward)
+            times[order] = t
+            rows.append(f"{label},{n_fixed},{order},{t:.6f}")
+            print(f"{label:<8} N={n_fixed:<6} K={order}  {t:.4f}s")
+        if times[lo] > 0:
+            print(f"{label} K-scaling: t(K={hi})/t(K={lo}) = {times[hi] / times[lo]:.2f} "
+                  f"(linear would be ~{hi / lo:.1f})")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "bench.csv"), rows)

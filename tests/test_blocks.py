@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -220,8 +221,8 @@ BATCH_CASES = (
 )
 
 
-def batch_case(variant, kernel, backprop, h, w, seed=20, b=3):
-    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3, kernel=kernel,
+def batch_case(variant, kernel, backprop, h, w, seed=20, b=3, order=3):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=order, kernel=kernel,
                       backprop_affinity=backprop)
     rng = np.random.default_rng(seed)
     params = blocks.random_params(cfg, rng)
@@ -254,15 +255,21 @@ def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, ti
         assert rel(grads[name], want) <= 1e-12 or np.array_equal(grads[name], want), name
 
 
-@pytest.mark.parametrize(
-    "variant,kernel", [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
-)
-def test_batched_backward_finite_differences(variant, kernel):
-    # L = sum(G * Y) over the whole stack; every input entry and parameter
-    # entry checked by central differences
-    cfg, params, xs, gs = batch_case(variant, kernel, True, 3, 4, seed=21, b=2)
-    loss = lambda v, p: float(np.sum(gs * blocks.block_forward_batch(v, 3, 4, cfg, p)[0]))
-    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
+    """L = sum(G * Y) over the whole stack; every input entry and parameter
+    entry checked by central differences. Without ``backprop_affinity``
+    the loss holds each sample's A at its base-point value, as the
+    backward does."""
+    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    frozen = None if cfg.backprop_affinity else np.concatenate([t.a.values for t in tapes])
+
+    def loss(v, p):
+        y, ts = blocks.block_forward_batch(v, h, w, cfg, p)
+        if frozen is not None:
+            z_node = np.concatenate([t.z_node for t in ts])
+            y = v + blocks._filter(cfg, p, frozen, z_node, h * w)[0]
+        return float(np.sum(gs * y))
+
     gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
     scale = max(np.abs(gx).max(), *(np.abs(g).max() for g in grads.values()))
     num = gradcheck.finite_diff(lambda v: loss(v, params), xs, 1e-6)
@@ -277,6 +284,164 @@ def test_batched_backward_finite_differences(variant, kernel):
             return loss(xs, p)
         num = gradcheck.finite_diff(loss_at, mat, 1e-6)
         assert np.max(np.abs(num - grads[name])) <= 1e-7 * scale, name
+
+
+@pytest.mark.parametrize(
+    "variant,kernel", [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
+)
+def test_batched_backward_finite_differences(variant, kernel):
+    cfg, params, xs, gs = batch_case(variant, kernel, True, 3, 4, seed=21, b=2)
+    assert_matches_finite_differences(cfg, params, xs, gs, 3, 4)
+
+
+@pytest.mark.parametrize("backprop", [True, False])
+@pytest.mark.parametrize("order", [5, 8])
+def test_cheb_k_high_order_finite_differences(order, backprop):
+    # powers up to A^7 go through the reverse recursion of the backward
+    cfg, params, xs, gs = batch_case("CHEB_K", "exp_dot", backprop, 3, 4, seed=24, b=2,
+                                     order=order)
+    assert_matches_finite_differences(cfg, params, xs, gs, 3, 4)
+
+
+def per_term_polynomial_backward(tape, cfg, params, g):
+    """Reference for ``blocks._polynomial_backward``: each term pushes its
+    gradient through A^k on its own, with k products by A^T and k (V, V)
+    outer products, so K(K-1)/2 of each over a CHEB_K filter."""
+    a_t = blocks._t(tape.a.values)
+    per_sample = {}
+    g_zn = np.zeros_like(tape.z_node)
+    g_a = None
+    for k, role, sign in blocks._variant_terms(cfg):
+        contrib = sign * (blocks._t(tape.powers[k]) @ g)
+        per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
+        r = g @ (sign * params.filters[role]).T
+        for j in range(k):
+            if cfg.backprop_affinity:
+                g_aj = r @ blocks._t(tape.powers[k - 1 - j])
+                g_a = g_aj if g_a is None else np.add(g_a, g_aj, out=g_a)
+            r = a_t @ r
+        g_zn += r
+    return per_sample, g_zn, g_a
+
+
+@pytest.mark.parametrize(
+    "variant,kernel,backprop,h,w,order",
+    [case + (3,) for case in BATCH_CASES]
+    + [("CHEB_K", "exp_dot", bp, 3, 4, k) for k in (5, 8) for bp in (True, False)],
+)
+def test_backward_matches_per_term_reference(variant, kernel, backprop, h, w, order,
+                                             monkeypatch):
+    cfg, params, xs, gs = batch_case(variant, kernel, backprop, h, w, order=order)
+    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    monkeypatch.setattr(blocks, "_polynomial_backward", per_term_polynomial_backward)
+    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
+    # with no power above A^1 both do the same operations in the same order
+    exact = variant != "CHEB_K" or order <= 2
+    for got, ref in [(gx, want_gx)] + [(grads[name], want[name]) for name in want]:
+        assert np.array_equal(got, ref) if exact else rel(got, ref) <= 1e-12
+
+
+# Tape reuse: block_backward reads the tape block_forward held when the
+# arguments match byte for byte, and otherwise builds the affinity again.
+def count_kernel_builds(monkeypatch) -> list:
+    calls = []
+    real = graph.kernel_matrix
+    monkeypatch.setattr(graph, "kernel_matrix", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def fresh_backward(x, cfg, params, g, monkeypatch):
+    """block_backward with no forward before it."""
+    monkeypatch.setattr(blocks, "_held", None)
+    return blocks.block_backward(x, cfg, params, g)
+
+
+def assert_same_gradients(got, want):
+    (gx, grads), (want_gx, want_grads) = got, want
+    assert np.array_equal(gx, want_gx)
+    assert list(grads) == list(want_grads)
+    for name, ref in want_grads.items():
+        assert np.array_equal(grads[name], ref), name
+
+
+@pytest.mark.parametrize("variant", blocks.VARIANTS)
+def test_forward_backward_pair_builds_one_affinity(variant, monkeypatch):
+    cfg, params, xs, gs = batch_case(variant, "exp_dot", True, 3, 4)
+    x = FeatureMap(3, 4, 4, xs[0])
+    want = fresh_backward(x, cfg, params, gs[0], monkeypatch)
+    calls = count_kernel_builds(monkeypatch)
+    blocks.block_forward(x, cfg, params)
+    got = blocks.block_backward(x, cfg, params, gs[0])
+    assert len(calls) == 1
+    assert blocks._held is None
+    assert_same_gradients(got, want)
+
+
+def _mutations(cfg, params):
+    """(label, change) pairs; each change alters the arguments of a
+    backward after the forward and returns them."""
+    def in_place(name):
+        def change(x, c, p):
+            mat = p.filters[name] if name in p.filters else getattr(p, name)
+            mat[0, 0] += 0.25
+            return x, c, p
+        return change
+
+    def bump_x(x, c, p):
+        x.values[1, 2] -= 0.25
+        return x, c, p
+
+    def flip_backprop(x, c, p):
+        c.backprop_affinity = not c.backprop_affinity
+        return x, c, p
+
+    def next_order(x, c, p):
+        return x, dataclasses.replace(c, order=c.order + 1), p
+
+    out = [("x", bump_x), ("backprop_affinity", flip_backprop)]
+    out += [(name, in_place(name)) for name, _ in params.items()]
+    if cfg.variant != "CHEB_K":  # CHEB_K's order also sets its filter roles
+        out.append(("order", next_order))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["SNL", "CC", "CHEB_K"])
+def test_changed_arguments_miss_the_held_tape(variant, monkeypatch):
+    cfg, params, xs, gs = batch_case(variant, "exp_dot", True, 3, 4)
+    for label, change in _mutations(cfg, params):
+        c, p = copy.deepcopy(cfg), copy.deepcopy(params)
+        x = FeatureMap(3, 4, 4, xs[0].copy())
+        calls = count_kernel_builds(monkeypatch)
+        blocks.block_forward(x, c, p)
+        x, c, p = change(x, c, p)
+        got = blocks.block_backward(x, c, p, gs[0])
+        assert len(calls) == 2, label
+        assert blocks._held is None
+        assert_same_gradients(got, fresh_backward(x, c, p, gs[0], monkeypatch))
+
+
+def test_held_tape_owns_its_input():
+    # the forward's input changes in place, then a backward comes with an
+    # unchanged copy: the key matches, and the tape must not read the
+    # changed array (CC also filters the raw input)
+    cfg, params, xs, gs = batch_case("CC", "exp_dot", True, 3, 4)
+    x = FeatureMap(3, 4, 4, xs[0].copy())
+    want = blocks.block_backward(FeatureMap(3, 4, 4, xs[0]), cfg, params, gs[0])
+    blocks.block_forward(x, cfg, params)
+    x.values += 1.0
+    got = blocks.block_backward(FeatureMap(3, 4, 4, xs[0]), cfg, params, gs[0])
+    assert_same_gradients(got, want)
+
+
+def test_failed_backward_releases_the_held_tape():
+    cfg, params, xs, _ = batch_case("SNL", "exp_dot", True, 3, 4)
+    x = FeatureMap(3, 4, 4, xs[0])
+    blocks.block_forward(x, cfg, params)
+    assert blocks._held is not None
+    with pytest.raises(ShapeError):
+        blocks.block_backward(x, cfg, params, np.zeros((3, 4)))
+    assert blocks._held is None
 
 
 def test_batch_raises_what_a_bad_sample_raises_alone():
