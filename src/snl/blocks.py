@@ -1,27 +1,27 @@
 """Unified nonlocal block variants: forward and analytic backward passes.
 
 Every variant builds an affinity matrix over embedded features and applies
-a (low-order) polynomial of it to a node signal, plus a residual
-connection. One batched core serves all variants: ``block_forward_batch``
-takes a (B, N, C) stack and returns the output with a ``Tape`` of
-intermediates, which ``block_backward_batch`` reads, so the affinity is
-built once per forward/backward pair. ``block_forward`` and
-``block_backward`` are B=1 calls of the core on a ``FeatureMap``;
-``block_forward`` holds its tape, and ``block_backward`` reads it when
-its arguments match byte for byte, so that pair builds the affinity once
-too. Both passes apply A^k by iterated products, never forming it: the
-forward takes one product with A per power and the backward one with A^T,
-so both cost time linear in K. ``generalized_forward`` is the generic
-polynomial routine the variant forwards are checked against.
+a low-order polynomial of it to a node signal, plus a residual connection.
+One table, ``_RECIPES``, gives each variant's normalization, node signal,
+kernel inputs, mask and polynomial terms; the forward and the backward read
+it and branch on no variant name. ``block_forward_batch`` takes a (B, N, C)
+stack and returns the output with a ``Tape`` of intermediates, which
+``block_backward_batch`` reads, so the affinity is built once per pair.
+``block_forward`` and ``block_backward`` are B=1 calls on a ``FeatureMap``;
+``block_forward`` holds its tape for a ``block_backward`` whose arguments
+match byte for byte. The forward and ``generalized_forward`` evaluate the
+polynomial with ``spectral._polynomial``, one product with A per power;
+the backward takes one product with A^T per power: both are linear in K.
 """
 
 from dataclasses import dataclass, field, replace
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
-from . import graph, linalg
+from . import graph, linalg, spectral
 from .errors import ConfigError, NumericError, PreconditionError, ShapeError
 from .graph import AffinityMatrix, FeatureMap
 
@@ -87,10 +87,8 @@ def filter_roles(cfg: BlockConfig) -> list[str]:
 
 
 def filter_shape(cfg: BlockConfig, role: str) -> tuple[int, int]:
-    # CC aggregates the raw input (node feature X), so its weight maps C1 -> C1
-    if cfg.variant == "CC":
-        return (cfg.c_in, cfg.c_in)
-    return (cfg.c_s, cfg.c_in)
+    # a filter on the raw input (node signal X) maps C1 -> C1
+    return (cfg.c_in if _RECIPES[cfg.variant].node == "x" else cfg.c_s, cfg.c_in)
 
 
 @dataclass
@@ -190,33 +188,61 @@ def embed(values: np.ndarray, params: BlockParams) -> tuple[np.ndarray, np.ndarr
     return values @ params.w_phi, values @ params.w_psi, values @ params.w_z
 
 
-# The variant table. Each variant normalizes its affinity one way (a
-# graph.normalize mode, or "none") and sums polynomial terms
-# sign * A^k Z_node W_role (see _variant_terms). The node signal Z_node is
-# Z, except the raw input X for CC and the flattened (position, channel)
-# signal v for CGNL, whose filtered signal is reshaped before W.
-_NORMALIZATION = {
-    "NL": "random_walk",
-    "NS": "random_walk",
-    "A2": "none",
-    "CGNL": "random_walk",
-    "CC": "random_walk",
-    "SNL": "symmetric",
-    "SNL_A1": "symmetric",
-    "SNL_A2": "random_walk",
-    "CHEB_K": "symmetric",
+class _Recipe(NamedTuple):
+    """One row of Table 1: a variant as a polynomial filter on its graph."""
+
+    normalization: str  # graph.normalize mode of the affinity, or "none"
+    node: str  # tape field of the node signal: z, the input x, or v = vec(z)
+    pair: tuple[str, str]  # tape fields the kernel compares
+    mask: bool  # criss-cross mask on the kernel before normalizing
+    terms: tuple | None  # (power k, filter role, sign); None: sum_k A^k z W_{k+1}
+
+
+# The variant table. Each variant sums the terms sign * A^k z_node W_role
+# over its normalized affinity A. CGNL's graph has one vertex per
+# (position, channel) pair of Z: the kernel compares v = vec(Z) with
+# itself, and each power of v is read back as an (N, C_s) map before W.
+_RECIPES = {
+    "NL": _Recipe("random_walk", "z", ("phi", "psi"), False, ((1, "w", 1.0),)),
+    "NS": _Recipe("random_walk", "z", ("phi", "psi"), False, ((0, "w", -1.0), (1, "w", 1.0))),
+    "A2": _Recipe("none", "z", ("phi", "psi"), False, ((1, "w", 1.0),)),
+    "CGNL": _Recipe("random_walk", "v", ("v", "v"), False, ((1, "w", 1.0),)),
+    "CC": _Recipe("random_walk", "x", ("phi", "psi"), True, ((1, "w", 1.0),)),
+    "SNL": _Recipe("symmetric", "z", ("phi", "psi"), False, ((0, "w1", 1.0), (1, "w2", 1.0))),
+    "SNL_A1": _Recipe("symmetric", "z", ("phi", "psi"), False, ((1, "w", 1.0),)),
+    "SNL_A2": _Recipe("random_walk", "z", ("phi", "psi"), False, ((0, "w1", 1.0), (1, "w2", 1.0))),
+    "CHEB_K": _Recipe("symmetric", "z", ("phi", "psi"), False, None),
 }
 
 
-def _variant_terms(cfg: BlockConfig) -> list[tuple[int, str, float]]:
+def _variant_terms(cfg: BlockConfig) -> tuple:
     """Polynomial terms (power k, filter role, sign) of a variant."""
-    if cfg.variant in ("NL", "A2", "SNL_A1", "CC", "CGNL"):
-        return [(1, "w", 1.0)]
-    if cfg.variant == "NS":
-        return [(0, "w", -1.0), (1, "w", 1.0)]
-    if cfg.variant in ("SNL", "SNL_A2"):
-        return [(0, "w1", 1.0), (1, "w2", 1.0)]
-    return [(k, f"w{k + 1}", 1.0) for k in range(cfg.order)]  # CHEB_K
+    terms = _RECIPES[cfg.variant].terms
+    return terms or tuple((k, f"w{k + 1}", 1.0) for k in range(cfg.order))
+
+
+def _vertices(cfg: BlockConfig, n_positions: int) -> int:
+    """Vertex count of a variant's graph: N, or N*C_s on the flattened
+    (position, channel) graph, which may not pass CGNL_MAX_VERTICES."""
+    if _RECIPES[cfg.variant].node != "v":
+        return n_positions
+    n = n_positions * cfg.c_s
+    if n > CGNL_MAX_VERTICES:
+        raise PreconditionError(f"CGNL flattened graph has {n} vertices (> {CGNL_MAX_VERTICES})")
+    return n
+
+
+_SAME = (lambda p: p,) * 2  # the identity as read and as unread
+
+
+def _reader(cfg: BlockConfig, n_positions: int):
+    """(read, unread): read maps a power of the node signal to the map its
+    filter weights act on, unread is the adjoint. Both are the identity,
+    except on the flattened graph, where they undo and redo vec."""
+    if _RECIPES[cfg.variant].node != "v":
+        return _SAME
+    return (lambda p: graph.unflatten_spatial_channel(p, n_positions, cfg.c_s),
+            graph.flatten_spatial_channel)
 
 
 class Tape:
@@ -264,50 +290,31 @@ def _check_stack(values, height: int, width: int) -> np.ndarray:
 
 def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams) -> Tape:
     """Embed, kernel, mask or symmetrize, and normalize a validated stack."""
+    recipe = _RECIPES[cfg.variant]
     t = Tape()
     t.x = xv
     t.phi, t.psi, t.z = embed(xv, params)
-    if cfg.variant == "CGNL":
-        if height * width * cfg.c_s > CGNL_MAX_VERTICES:
-            raise PreconditionError(
-                f"CGNL flattened graph has {height * width * cfg.c_s} vertices "
-                f"(> {CGNL_MAX_VERTICES})"
-            )
+    if recipe.node == "v":
+        _vertices(cfg, height * width)  # raises past the vertex cap
         t.v = graph.flatten_spatial_channel(t.z)
-        t.m = graph.kernel_matrix(t.v, t.v, cfg.kernel)
-        t.z_node = t.v
-    else:
-        t.m = graph.kernel_matrix(t.phi, t.psi, cfg.kernel)
-        t.z_node = xv if cfg.variant == "CC" else t.z
-
-    if cfg.variant == "CC":
+    left, right = recipe.pair
+    t.m = graph.kernel_matrix(getattr(t, left), getattr(t, right), cfg.kernel)
+    t.z_node = getattr(t, recipe.node)
+    if recipe.mask:
         t.mask = graph.crisscross_mask(height, width)
-        raw = AffinityMatrix(t.mask * t.m, cfg.kernel, mask_applied=True)
-    else:
-        raw = AffinityMatrix(t.m, cfg.kernel)
-    mode = _NORMALIZATION[cfg.variant]
-    if mode == "symmetric":
+    raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m, cfg.kernel)
+    if recipe.normalization == "symmetric":
         raw = graph.symmetrize(raw)
-    t.a = raw if mode == "none" else graph.normalize(raw, mode)
+    t.a = raw if recipe.normalization == "none" else graph.normalize(raw, recipe.normalization)
     return t
 
 
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
     """F(A, Z) of a batch, and the powers A^k z_node it applied."""
-    if cfg.variant == "CGNL":
-        # filter on the flattened graph, reshape, then map back to C1
-        av = a @ z_node
-        o = graph.unflatten_spatial_channel(av, n_positions, cfg.c_s)
-        return o @ params.filters["w"], [z_node, av]
-    terms = _variant_terms(cfg)
-    powers = [z_node]
-    for _ in range(max(k for k, _, _ in terms)):
-        powers.append(a @ powers[-1])
-    f = None
-    for k, role, sign in terms:
-        term = powers[k] @ (sign * params.filters[role])
-        f = term if f is None else f + term
-    return f, powers
+    f = params.filters  # a +1 sign keeps W itself, with no pass over it
+    terms = [(k, f[role] if sign == 1.0 else sign * f[role])
+             for k, role, sign in _variant_terms(cfg)]
+    return spectral._polynomial(a, z_node, terms, _reader(cfg, n_positions)[0])
 
 
 # The core runs over tiles of samples whose (V, V) affinity arrays hold at
@@ -321,7 +328,7 @@ TILE_BYTES = 256 * 1024
 
 def _tiles(batch: int, cfg: BlockConfig, n_positions: int) -> list[slice]:
     """Consecutive sample ranges, each one tile of the batch."""
-    n_vertices = n_positions * cfg.c_s if cfg.variant == "CGNL" else n_positions
+    n_vertices = _vertices(cfg, n_positions)
     per_tile = max(1, TILE_BYTES // (8 * n_vertices * n_vertices))
     return [slice(i, i + per_tile) for i in range(0, batch, per_tile)]
 
@@ -379,12 +386,7 @@ def generalized_forward(
     """
     a_values = linalg.as_matrix(a_values)
     z_node = linalg.as_matrix(z_node)
-    out = z_node @ weights[0]
-    cur = z_node
-    for k in range(1, len(weights)):
-        cur = a_values @ cur
-        out = out + cur @ weights[k]
-    return out
+    return spectral._polynomial(a_values, z_node, list(enumerate(weights)))[0]
 
 
 # The tapes of the last block_forward and the key of its arguments, held
@@ -497,8 +499,8 @@ def block_backward_batch(
 
 
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
-    """Reverse mode through F = sum of sign * A^k z_node W_role over a
-    tile: each role's per-sample gradient, dL/dz_node, and dL/dA (None
+    """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
+    a tile: each role's per-sample gradient, dL/dz_node, and dL/dA (None
     without ``backprop_affinity``).
 
     g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
@@ -507,13 +509,14 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     (V, V) product for dL/dA, so the cost is linear in K.
     """
     terms = _variant_terms(cfg)
+    read, unread = _reader(cfg, tape.x.shape[1])
     top = max(k for k, _, _ in terms)
     per_sample = {}
     g_p = [None] * (top + 1)
     for k, role, sign in terms:
-        contrib = sign * (_t(tape.powers[k]) @ g)
+        contrib = sign * (_t(read(tape.powers[k])) @ g)
         per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
-        r = g @ (sign * params.filters[role]).T
+        r = unread(g @ (sign * params.filters[role]).T)
         g_p[k] = r if g_p[k] is None else g_p[k] + r
     a_t = _t(tape.a.values)
     for k in range(top, 0, -1):
@@ -526,47 +529,36 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     return per_sample, g_p[0], g_a
 
 
+def _add(grads: dict, name: str, grad: np.ndarray) -> None:
+    grads[name] = grad if name not in grads else grads[name] + grad
+
+
 def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """dL/dX of one tile and each parameter's per-sample gradients."""
-    gx = g.copy()
-    g_phi = g_psi = None
+    recipe = _RECIPES[cfg.variant]
+    per_sample, g_node, g_a = _polynomial_backward(tape, cfg, params, g)
+    grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
+    if g_a is not None:
+        g_s = _normalization_backward(tape, g_a)
+        left, right = recipe.pair
+        width = getattr(tape, left).shape[-1]
+        if cfg.kernel == "exp_dot":
+            g_s *= tape.m
+            if width > 1:  # M = exp(left right^T / sqrt(width))
+                g_s /= np.sqrt(width)
+        _add(grads, left, g_s @ getattr(tape, right))
+        _add(grads, right, _t(g_s) @ getattr(tape, left))
+    if "v" in grads:  # v = vec(z)
+        _add(grads, "z", graph.unflatten_spatial_channel(grads.pop("v"), tape.x.shape[1], cfg.c_s))
 
-    if cfg.variant == "CGNL":
-        n = tape.x.shape[1]
-        o = graph.unflatten_spatial_channel(tape.powers[1], n, cfg.c_s)
-        per_sample = {"w": _t(o) @ g}
-        q = graph.flatten_spatial_channel(g @ params.filters["w"].T)
-        gv = _t(tape.a.values) @ q
-        if cfg.backprop_affinity:
-            g_s = _normalization_backward(tape, q @ _t(tape.v))
-            if cfg.kernel == "exp_dot":
-                g_s *= tape.m
-            # M = f(v, v): v enters as both endpoints of each edge
-            gv = gv + g_s @ tape.v + _t(g_s) @ tape.v
-        gz = graph.unflatten_spatial_channel(gv, n, cfg.c_s)
-    else:
-        per_sample, g_zn, g_a = _polynomial_backward(tape, cfg, params, g)
-        if cfg.variant == "CC":
-            gx += g_zn
-            gz = None
-        else:
-            gz = g_zn
-        if g_a is not None:
-            g_s = _normalization_backward(tape, g_a)
-            if cfg.kernel == "exp_dot":
-                g_s *= tape.m
-                g_s /= np.sqrt(tape.phi.shape[-1])
-            g_phi = g_s @ tape.psi
-            g_psi = _t(g_s) @ tape.phi
-
+    gx = g + grads["x"] if "x" in grads else g.copy()
     x_t = _t(tape.x)
     into_x = None
-    for name, grad in (("w_phi", g_phi), ("w_psi", g_psi), ("w_z", gz)):
-        if grad is None:
-            continue
-        per_sample[name] = x_t @ grad
-        term = grad @ getattr(params, name).T
-        into_x = term if into_x is None else into_x + term
+    for name, source in (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z")):
+        if source in grads:
+            per_sample[name] = x_t @ grads[source]
+            term = grads[source] @ getattr(params, name).T
+            into_x = term if into_x is None else into_x + term
     if into_x is not None:
         gx += into_x
     return gx, per_sample

@@ -70,7 +70,6 @@ class AffinityMatrix:
     kernel: str
     normalization: str = "none"
     symmetrized: bool = False
-    mask_applied: bool = False
     degrees: np.ndarray | None = None
 
     def __post_init__(self):

@@ -1,12 +1,12 @@
 """Graph Fourier transform and polynomial graph filtering.
 
-``poly_filter_apply`` is the production path (iterated A-multiplication,
-never materializing A^k); ``spectral_oracle`` recomputes the same filter
-through an explicit eigendecomposition (``linalg.eigh``) and is the ground
-truth the equivalence tests check against. The oracle is independent of
-the production path because it takes the eigendecomposition route rather
-than iterated products, whichever eigensolver computes it. Public entry
-points validate their operands; the products after that use ``@``.
+``_polynomial`` evaluates sum_k A^k z w_k by iterated products, never
+forming A^k; ``poly_filter_apply``, ``blocks.generalized_forward`` and
+the block forward all call it. ``spectral_oracle`` recomputes a filter
+through an explicit eigendecomposition (``linalg.eigh``), independent of
+the iterated products whichever eigensolver computes it, and is the
+ground truth the equivalence tests check against. Public entry points
+validate their operands; the products after that use ``@``.
 """
 
 from dataclasses import dataclass, field
@@ -27,15 +27,12 @@ class FilterSpec:
     """
 
     order: int
-    basis: str = "monomial"
     theta: np.ndarray | None = None
     weights: list[np.ndarray] | None = field(default=None)
 
     def __post_init__(self):
         if self.order < 1:
             raise FilterSpecError(f"order must be >= 1, got {self.order}")
-        if self.basis not in ("monomial", "chebyshev"):
-            raise FilterSpecError(f"unknown basis {self.basis!r}")
         if (self.theta is None) == (self.weights is None):
             raise FilterSpecError("exactly one of theta/weights must be set")
         if self.theta is not None:
@@ -118,8 +115,6 @@ def poly_filter_apply(a: AffinityMatrix, z: np.ndarray, spec: FilterSpec) -> np.
     sum_{k>=2} A^k Z W_{k+1}. Powers are applied as repeated A*(A^{k-1} Z)
     products, costing O(K N^2 C_s).
     """
-    if spec.basis != "monomial":
-        raise FilterSpecError("poly_filter_apply expects the monomial basis")
     if a.normalization not in ("random_walk", "symmetric"):
         raise PreconditionError("poly_filter_apply requires a normalized affinity")
     z = linalg.as_matrix(z)
@@ -127,18 +122,25 @@ def poly_filter_apply(a: AffinityMatrix, z: np.ndarray, spec: FilterSpec) -> np.
         raise ShapeError(f"filter: A {a.values.shape} vs Z {z.shape}")
     if spec.weights is not None and spec.weights[0].shape[0] != z.shape[1]:
         raise ShapeError(f"filter: Z {z.shape} vs weights {spec.weights[0].shape}")
-    cur = z
-    if spec.theta is not None:
-        out = spec.theta[0] * z
-        for k in range(1, spec.order):
-            cur = a.values @ cur
-            out = out + spec.theta[k] * cur
-    else:
-        out = z @ spec.weights[0]
-        for k in range(1, spec.order):
-            cur = a.values @ cur
-            out = out + cur @ spec.weights[k]
-    return out
+    coefficients = spec.weights if spec.theta is None else spec.theta
+    return _polynomial(a.values, z, list(enumerate(coefficients[: spec.order])))[0]
+
+
+def _polynomial(a: np.ndarray, z: np.ndarray, terms, read=None):
+    """sum_k read(A^k z) w_k over the (k, w_k) terms, and the powers
+    [z, A z, ..., A^K z]: one product with A per power, so A^k is never
+    formed and the cost is linear in K. w_k is a matrix applied on the
+    right, or a scalar; ``read`` maps a power to the signal the weights act
+    on (default: the power). A and z may be (B, ...) stacks."""
+    powers = [z]
+    for _ in range(max(k for k, _ in terms)):
+        powers.append(a @ powers[-1])
+    out = None
+    for k, w in terms:
+        p = powers[k] if read is None else read(powers[k])
+        term = p @ w if isinstance(w, np.ndarray) else w * p
+        out = term if out is None else out + term
+    return out, powers
 
 
 def spectral_oracle(a: AffinityMatrix, z: np.ndarray, theta) -> np.ndarray:
@@ -157,10 +159,5 @@ def spectral_oracle(a: AffinityMatrix, z: np.ndarray, theta) -> np.ndarray:
     z = linalg.as_matrix(z)
     theta = np.asarray(theta, dtype=np.float64).ravel()
     dec = linalg.eigh(v)
-    lam = dec.eigenvalues
-    response = np.full_like(lam, theta[0])
-    power = np.ones_like(lam)
-    for k in range(1, theta.size):
-        power = power * lam
-        response = response + theta[k] * power
+    response = np.polynomial.polynomial.polyval(dec.eigenvalues, theta)
     return apply_generalized_filter(dec.eigenvectors, response, z)

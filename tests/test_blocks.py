@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from snl import blocks, gradcheck, graph, linalg
+from snl import blocks, gradcheck, graph, linalg, verify
 from snl.blocks import BlockConfig, BlockParams
 from snl.errors import (
     AffinityOverflowError,
@@ -158,6 +158,20 @@ def test_tied_weight_identities():
         assert linalg.rel_error(nl_out, cheb_nl) <= 1e-12
 
 
+@pytest.mark.parametrize("variant,change", [
+    ("NS", {"terms": ((0, "w", 1.0), (1, "w", 1.0))}),  # the k=0 sign flipped
+    ("SNL", {"normalization": "random_walk"}),
+    ("CC", {"mask": False}),
+])
+def test_unification_check_fails_on_a_wrong_table_row(variant, change, monkeypatch):
+    # the check compares the table with closed forms, not with itself
+    monkeypatch.setattr(blocks, "_held", None)  # restored after the test, like the table
+    assert verify.check_unification()[0]
+    monkeypatch.setitem(blocks._RECIPES, variant, blocks._RECIPES[variant]._replace(**change))
+    passed, detail = verify.check_unification()
+    assert not passed, detail
+
+
 def test_snl_affinity_exactly_symmetric():
     rng = np.random.default_rng(6)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
@@ -306,15 +320,21 @@ def test_cheb_k_high_order_finite_differences(order, backprop):
 def per_term_polynomial_backward(tape, cfg, params, g):
     """Reference for ``blocks._polynomial_backward``: each term pushes its
     gradient through A^k on its own, with k products by A^T and k (V, V)
-    outer products, so K(K-1)/2 of each over a CHEB_K filter."""
+    outer products, so K(K-1)/2 of each over a CHEB_K filter. On CGNL's
+    flattened graph each power is read as an (N, C_s) map before W."""
+    n = tape.x.shape[1]
+    read = unread = lambda p: p
+    if tape.v is not None:
+        read = lambda p: graph.unflatten_spatial_channel(p, n, cfg.c_s)
+        unread = graph.flatten_spatial_channel
     a_t = blocks._t(tape.a.values)
     per_sample = {}
     g_zn = np.zeros_like(tape.z_node)
     g_a = None
     for k, role, sign in blocks._variant_terms(cfg):
-        contrib = sign * (blocks._t(tape.powers[k]) @ g)
+        contrib = sign * (blocks._t(read(tape.powers[k])) @ g)
         per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
-        r = g @ (sign * params.filters[role]).T
+        r = unread(g @ (sign * params.filters[role]).T)
         for j in range(k):
             if cfg.backprop_affinity:
                 g_aj = r @ blocks._t(tape.powers[k - 1 - j])

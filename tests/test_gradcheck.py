@@ -24,11 +24,24 @@ def test_finite_diff_nonfinite_loss():
         gradcheck.finite_diff(lambda x: float("nan"), np.zeros(2), 1e-5)
 
 
-@pytest.mark.parametrize("variant", ["NL", "SNL", "CGNL", "CC"])
+# Each (variant, kernel) on a square and a non-square grid; without
+# backprop_affinity the loss runs the frozen-affinity path. The 3x3
+# exp_dot cases keep their bare variant ids.
+SPOT_CHECKS = [
+    pytest.param(v, kernel, grid, id=v if (kernel, grid) == ("exp_dot", (3, 3))
+                 else f"{v}-{kernel}-{grid[0]}x{grid[1]}")
+    for grid in ((3, 3), (3, 4))
+    for v, kernel in (("NL", "exp_dot"), ("SNL", "exp_dot"), ("CGNL", "exp_dot"),
+                      ("CC", "exp_dot"), ("A2", "dot"))
+]
+
+
+@pytest.mark.parametrize("variant,kernel,grid", SPOT_CHECKS)
 @pytest.mark.parametrize("backprop", [False, True])
-def test_block_gradients_spot_checks(variant, backprop):
-    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3, backprop_affinity=backprop)
-    reports = gradcheck.check_block_gradients(cfg, seed=0)
+def test_block_gradients_spot_checks(variant, kernel, grid, backprop):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3, kernel=kernel,
+                      backprop_affinity=backprop)
+    reports = gradcheck.check_block_gradients(cfg, seed=0, height=grid[0], width=grid[1])
     assert reports, "no parameters checked"
     for r in reports:
         assert r.passed, f"{variant} {r.parameter}: rel {r.max_rel_error:.3e}"

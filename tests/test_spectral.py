@@ -18,8 +18,6 @@ def test_filter_spec_validation():
     with pytest.raises(FilterSpecError):
         FilterSpec(order=0, theta=[1.0])
     with pytest.raises(FilterSpecError):
-        FilterSpec(order=1, basis="legendre", theta=[1.0])
-    with pytest.raises(FilterSpecError):
         FilterSpec(order=1)  # neither theta nor weights
     with pytest.raises(FilterSpecError):
         FilterSpec(order=1, theta=[1.0], weights=[np.eye(2)])  # both
@@ -111,14 +109,6 @@ def test_poly_filter_requires_normalized_affinity():
     raw = graph.compute_affinity(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), "exp_dot")
     with pytest.raises(PreconditionError):
         spectral.poly_filter_apply(raw, np.zeros((4, 1)), FilterSpec(order=1, theta=[1.0]))
-
-
-def test_poly_filter_rejects_chebyshev_basis_directly():
-    rng = np.random.default_rng(6)
-    a = sym_affinity(rng, 4)
-    spec = FilterSpec(order=2, basis="chebyshev", theta=[1.0, 1.0])
-    with pytest.raises(FilterSpecError):
-        spectral.poly_filter_apply(a, np.zeros((4, 1)), spec)
 
 
 def test_spectral_oracle_agrees_with_poly_filter():
