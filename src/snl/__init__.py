@@ -1,4 +1,4 @@
-"""Spectral view of nonlocal blocks: graphs from feature maps, Chebyshev
+"""Spectral view of nonlocal blocks: graphs from feature maps, polynomial
 graph filters, unified block variants, and gradient verification."""
 
 from .blocks import BlockConfig, BlockParams, block_backward, block_forward

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph, linalg, spectral
-from .errors import ConfigError, NumericError, PreconditionError, ShapeError
+from .errors import ConfigError, FilterSpecError, NumericError, PreconditionError, ShapeError
 from .graph import AffinityMatrix, FeatureMap
 
 VARIANTS = ("NL", "NS", "A2", "CGNL", "CC", "SNL", "SNL_A1", "SNL_A2", "CHEB_K")
@@ -35,7 +35,13 @@ _CONFIG_KEYS = ("variant", "c_in", "c_s", "order", "kernel", "backprop_affinity"
 
 @dataclass
 class BlockConfig:
-    """Variant tag plus channel sizes, polynomial order, and affinity options."""
+    """Variant tag plus channel sizes, polynomial order, and affinity options.
+
+    ``kernel="dot"`` can give negative affinities. Every variant but A2
+    degree-normalizes its affinity, so with "dot" it raises
+    ``KernelDomainError`` at the first block call that meets a negative
+    entry; nonnegative features and embeddings keep the kernel valid.
+    """
 
     variant: str
     c_in: int
@@ -302,7 +308,7 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
     t.z_node = getattr(t, recipe.node)
     if recipe.mask:
         t.mask = graph.crisscross_mask(height, width)
-    raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m, cfg.kernel)
+    raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m)
     if recipe.normalization == "symmetric":
         raw = graph.symmetrize(raw)
     t.a = raw if recipe.normalization == "none" else graph.normalize(raw, recipe.normalization)
@@ -383,9 +389,21 @@ def generalized_forward(
     """Generic polynomial operator: Z W_1 + A Z W_2 + sum_k A^k Z W_{k+1}.
 
     Powers are applied by iterated multiplication; A^k is never formed.
+    The package's one polynomial filter with a weight matrix per power;
+    ``spectral.poly_filter_apply`` takes scalar coefficients.
     """
     a_values = linalg.as_matrix(a_values)
     z_node = linalg.as_matrix(z_node)
+    weights = [linalg.as_matrix(w) for w in weights]
+    if not weights:
+        raise FilterSpecError("generalized_forward needs at least one weight")
+    shapes = {w.shape for w in weights}
+    if len(shapes) != 1:
+        raise FilterSpecError(f"weight matrices differ in shape: {shapes}")
+    if a_values.shape != (z_node.shape[0],) * 2:
+        raise ShapeError(f"filter: A {a_values.shape} vs Z {z_node.shape}")
+    if weights[0].shape[0] != z_node.shape[1]:
+        raise ShapeError(f"filter: Z {z_node.shape} vs weights {weights[0].shape}")
     return spectral._polynomial(a_values, z_node, list(enumerate(weights)))[0]
 
 

@@ -149,12 +149,3 @@ def format_report_table(reports: list[GradReport]) -> str:
         )
     return "\n".join(lines)
 
-
-def reports_to_csv_rows(reports: list[GradReport]) -> list[str]:
-    rows = ["parameter,max_abs_error,max_rel_error,checked_entries,passed"]
-    for r in reports:
-        rows.append(
-            f"{r.parameter},{r.max_abs_error:.17g},{r.max_rel_error:.17g},"
-            f"{r.checked_entries},{int(r.passed)}"
-        )
-    return rows

@@ -1,8 +1,8 @@
 """Fully-connected graph construction from feature maps.
 
-Affinity kernels, symmetrization, degree normalizations, the scaled
-Laplacian, the criss-cross mask, and the (position, channel) flattening
-used by the compact-generalized variant.
+Affinity kernels, symmetrization, degree normalizations, the criss-cross
+mask, and the (position, channel) flattening used by the
+compact-generalized variant.
 """
 
 from dataclasses import dataclass
@@ -59,7 +59,7 @@ class FeatureMap:
 
 @dataclass
 class AffinityMatrix:
-    """Pairwise-similarity matrix with kernel / normalization provenance.
+    """Pairwise-similarity matrix with its normalization provenance.
 
     ``values`` is one (N, N) matrix or a (B, N, N) stack of B graphs; the
     functions below treat each graph of a stack alone. ``degrees`` is the
@@ -67,7 +67,6 @@ class AffinityMatrix:
     """
 
     values: np.ndarray
-    kernel: str
     normalization: str = "none"
     symmetrized: bool = False
     degrees: np.ndarray | None = None
@@ -77,8 +76,6 @@ class AffinityMatrix:
             self.values = linalg.as_stack(self.values)
         else:
             self.values = linalg.as_matrix(self.values)
-        if self.kernel not in KERNELS:
-            raise PreconditionError(f"unknown kernel {self.kernel!r}")
         if self.normalization not in NORMALIZATIONS:
             raise PreconditionError(f"unknown normalization {self.normalization!r}")
 
@@ -121,7 +118,7 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
 
 def compute_affinity(phi: np.ndarray, psi: np.ndarray, kernel: str) -> AffinityMatrix:
     """Unnormalized affinity matrix from two embedded feature maps."""
-    return AffinityMatrix(values=kernel_matrix(phi, psi, kernel), kernel=kernel)
+    return AffinityMatrix(values=kernel_matrix(phi, psi, kernel))
 
 
 def _check_square(v: np.ndarray, what: str) -> None:
@@ -176,13 +173,6 @@ def normalize(m: AffinityMatrix, mode: str) -> AffinityMatrix:
         values = s[..., :, None] * s[..., None, :]
         values *= m.values
     return _derived(m, values=values, normalization=mode, degrees=d)
-
-
-def scaled_laplacian(a: AffinityMatrix) -> np.ndarray:
-    """Scaled Laplacian -A, using L = I - A and the lambda_max = 2 bound."""
-    if a.normalization not in ("random_walk", "symmetric"):
-        raise PreconditionError("scaled_laplacian requires a normalized affinity")
-    return -a.values
 
 
 def crisscross_mask(h: int, w: int) -> np.ndarray:

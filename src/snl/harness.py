@@ -7,13 +7,11 @@ patterns match. A 3x3-conv baseline cannot relate the two cells, a net
 with a nonlocal block inserted after the conv can.
 """
 
-from dataclasses import dataclass, field
-import json
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks, linalg
+from . import blocks
 from .blocks import BlockConfig, BlockParams
 from .errors import ConfigError, DivergenceError
 from .graph import FeatureMap
@@ -77,42 +75,6 @@ def gen_dataset(
         values[j] = patterns[k2]
         samples.append((FeatureMap(GRID, GRID, c, values), int(label)))
     return PairedPatchDataset(samples, p, min_separation)
-
-
-def save_dataset(ds: PairedPatchDataset, out_dir: str) -> None:
-    """Binary matrix files plus a JSON manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    values = np.concatenate([fm.values for fm, _ in ds.samples], axis=0)
-    labels = np.array([[float(label)] for _, label in ds.samples])
-    linalg.save_binary(values, os.path.join(out_dir, "features.mat"))
-    linalg.save_binary(labels, os.path.join(out_dir, "labels.mat"))
-    fm0 = ds.samples[0][0]
-    manifest = {
-        "n_samples": len(ds.samples),
-        "height": fm0.height,
-        "width": fm0.width,
-        "channels": fm0.channels,
-        "pattern_count": ds.pattern_count,
-        "min_separation": ds.min_separation,
-        "features": "features.mat",
-        "labels": "labels.mat",
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_dataset(in_dir: str) -> PairedPatchDataset:
-    with open(os.path.join(in_dir, "manifest.json")) as fh:
-        man = json.load(fh)
-    values = linalg.load_binary(os.path.join(in_dir, man["features"]))
-    labels = linalg.load_binary(os.path.join(in_dir, man["labels"]))
-    h, w, c = man["height"], man["width"], man["channels"]
-    n = h * w
-    samples = [
-        (FeatureMap(h, w, c, values[k * n : (k + 1) * n]), int(labels[k, 0]))
-        for k in range(man["n_samples"])
-    ]
-    return PairedPatchDataset(samples, man["pattern_count"], man["min_separation"])
 
 
 # --- tiny network -------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Graph Fourier transform and polynomial graph filtering.
 
 ``_polynomial`` evaluates sum_k A^k z w_k by iterated products, never
-forming A^k; ``poly_filter_apply``, ``blocks.generalized_forward`` and
-the block forward all call it. ``spectral_oracle`` recomputes a filter
-through an explicit eigendecomposition (``linalg.eigh``), independent of
-the iterated products whichever eigensolver computes it, and is the
-ground truth the equivalence tests check against. Public entry points
-validate their operands; the products after that use ``@``.
+forming A^k; ``poly_filter_apply`` (scalar coefficients),
+``blocks.generalized_forward`` (one weight matrix per power) and the block
+forward all call it. ``spectral_oracle`` recomputes a filter through an
+explicit eigendecomposition (``linalg.eigh``), independent of the iterated
+products whichever eigensolver computes it, and is the ground truth the
+equivalence tests check against. Public entry points validate their
+operands; the products after that use ``@``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +21,20 @@ from .graph import AffinityMatrix
 
 @dataclass
 class FilterSpec:
-    """Polynomial graph-filter coefficients.
-
-    Exactly one of ``theta`` (scalar coefficients, shared across channels)
-    or ``weights`` (one C_s x C_out matrix per order) is populated.
-    """
+    """Scalar polynomial graph-filter coefficients theta_0..theta_{order-1},
+    shared across channels."""
 
     order: int
-    theta: np.ndarray | None = None
-    weights: list[np.ndarray] | None = field(default=None)
+    theta: np.ndarray
 
     def __post_init__(self):
         if self.order < 1:
             raise FilterSpecError(f"order must be >= 1, got {self.order}")
-        if (self.theta is None) == (self.weights is None):
-            raise FilterSpecError("exactly one of theta/weights must be set")
-        if self.theta is not None:
-            self.theta = np.asarray(self.theta, dtype=np.float64).ravel()
-            if self.theta.size < self.order:
-                raise FilterSpecError(
-                    f"order {self.order} exceeds coefficient count {self.theta.size}"
-                )
-        else:
-            self.weights = [linalg.as_matrix(w) for w in self.weights]
-            if len(self.weights) < self.order:
-                raise FilterSpecError(
-                    f"order {self.order} exceeds weight count {len(self.weights)}"
-                )
-            shapes = {w.shape for w in self.weights}
-            if len(shapes) != 1:
-                raise FilterSpecError(f"weight matrices differ in shape: {shapes}")
+        self.theta = np.asarray(self.theta, dtype=np.float64).ravel()
+        if self.theta.size < self.order:
+            raise FilterSpecError(
+                f"order {self.order} exceeds coefficient count {self.theta.size}"
+            )
 
 
 def _check_orthonormal(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -92,38 +77,17 @@ def apply_generalized_filter(
     return u @ (omega[:, None] * (u.T @ z))
 
 
-def cheb_recursion(l_tilde: np.ndarray, k: int) -> list[np.ndarray]:
-    """Chebyshev matrix polynomials T_0..T_{k-1} of the scaled Laplacian."""
-    l_tilde = linalg.as_matrix(l_tilde)
-    n, m = l_tilde.shape
-    if n != m:
-        raise ShapeError(f"cheb_recursion: matrix is not square ({l_tilde.shape})")
-    if k < 1:
-        raise FilterSpecError(f"cheb_recursion: k must be >= 1, got {k}")
-    terms = [np.eye(n)]
-    if k >= 2:
-        terms.append(l_tilde.copy())
-    for _ in range(2, k):
-        terms.append(2.0 * (l_tilde @ terms[-1]) - terms[-2])
-    return terms
-
-
 def poly_filter_apply(a: AffinityMatrix, z: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Monomial-basis polynomial filter of the node signal.
-
-    Single-channel: sum_k theta_k A^k Z. Multi-channel: Z W_1 + A Z W_2 +
-    sum_{k>=2} A^k Z W_{k+1}. Powers are applied as repeated A*(A^{k-1} Z)
-    products, costing O(K N^2 C_s).
+    """Monomial-basis polynomial filter sum_k theta_k A^k Z of the node
+    signal. Powers are applied as repeated A*(A^{k-1} Z) products, costing
+    O(K N^2 C_s); ``blocks.generalized_forward`` takes weight matrices.
     """
     if a.normalization not in ("random_walk", "symmetric"):
         raise PreconditionError("poly_filter_apply requires a normalized affinity")
     z = linalg.as_matrix(z)
     if a.values.shape[1] != z.shape[0]:
         raise ShapeError(f"filter: A {a.values.shape} vs Z {z.shape}")
-    if spec.weights is not None and spec.weights[0].shape[0] != z.shape[1]:
-        raise ShapeError(f"filter: Z {z.shape} vs weights {spec.weights[0].shape}")
-    coefficients = spec.weights if spec.theta is None else spec.theta
-    return _polynomial(a.values, z, list(enumerate(coefficients[: spec.order])))[0]
+    return _polynomial(a.values, z, list(enumerate(spec.theta[: spec.order])))[0]
 
 
 def _polynomial(a: np.ndarray, z: np.ndarray, terms, read=None):

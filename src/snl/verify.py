@@ -155,10 +155,12 @@ def check_chebyshev_basis_change():
     a = _random_affinity(rng, n, "symmetric")
     z = rng.normal(size=(n, 2))
     theta_hat = rng.normal(size=k)
-    l_tilde = graph.scaled_laplacian(a)
-    terms = spectral.cheb_recursion(l_tilde, k)
-    cheb_out = sum(theta_hat[i] * (terms[i] @ z) for i in range(k))
-    # same polynomial in the monomial basis of A = -L_tilde
+    # sum_k theta_hat_k T_k(L~) z with the scaled Laplacian L~ = -A, on the
+    # spectrum of A: U diag(sum_k theta_hat_k T_k(-lambda)) U^T z
+    dec = linalg.eigh(a.values)
+    response = np.polynomial.chebyshev.chebval(-dec.eigenvalues, theta_hat)
+    cheb_out = spectral.apply_generalized_filter(dec.eigenvectors, response, z)
+    # same polynomial in the monomial basis of A = -L~
     theta_lt = np.polynomial.chebyshev.cheb2poly(theta_hat)
     theta_a = theta_lt * (-1.0) ** np.arange(k)
     mono_out = spectral.poly_filter_apply(a, z, spectral.FilterSpec(order=k, theta=theta_a))

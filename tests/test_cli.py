@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from snl import cli, linalg
+from snl import cli, linalg, verify
 
 
 def test_verify_filter_no_match_is_usage_error(capsys):
@@ -16,6 +16,26 @@ def test_verify_single_group(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "matmul-associativity" in out and "pass" in out
     assert (tmp_path / "verify.csv").read_text().startswith("name,passed,detail")
+
+
+# Scripts run `snl verify --filter NAME` for each group and expect "1/1
+# invariant groups passed", so the names are pinned and none contains another.
+VERIFY_GROUP_NAMES = (
+    "matmul-associativity", "jacobi-reconstruction", "affinity-row-stochastic",
+    "expdot-positivity", "rw-sym-spectrum-match", "crisscross-rowsums",
+    "laplacian-eigenvalue-bound", "gft-roundtrip", "spectral-equivalence",
+    "chebyshev-basis-change", "filter-automorphism", "unification-table",
+    "tied-weight-identities", "snl-symmetry", "block-equivariance",
+    "block-output-shape",
+)
+
+
+def test_verify_filter_selects_each_group_alone():
+    assert tuple(name for name, _ in verify.GROUPS) == VERIFY_GROUP_NAMES
+    for name in VERIFY_GROUP_NAMES:
+        results = verify.run_verify(name)
+        assert [r["name"] for r in results] == [name]
+        assert results[0]["passed"], results[0]["detail"]
 
 
 def test_gradcheck_single_variant(tmp_path, capsys):

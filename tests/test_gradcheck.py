@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snl import blocks, gradcheck
+from snl import blocks, cli, gradcheck
 from snl.blocks import BlockConfig
 from snl.errors import NumericError
 
@@ -47,14 +47,16 @@ def test_block_gradients_spot_checks(variant, kernel, grid, backprop):
         assert r.passed, f"{variant} {r.parameter}: rel {r.max_rel_error:.3e}"
 
 
-def test_report_table_and_csv():
+def test_report_table_and_csv(tmp_path, capsys):
     cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
     reports = gradcheck.check_block_gradients(cfg, seed=1)
     table = gradcheck.format_report_table(reports)
     assert "parameter" in table and "pass" in table
-    rows = gradcheck.reports_to_csv_rows(reports)
-    assert rows[0].startswith("parameter,")
-    assert len(rows) == len(reports) + 1
+    # the CSV rows are the CLI's: one per report in each affinity mode
+    assert cli.run(["gradcheck", "--variant", "NL", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "gradcheck.csv").read_text().splitlines()
+    assert rows[0].startswith("variant,backprop_affinity,parameter,")
+    assert len(rows) == 2 * len(reports) + 1
 
 
 # Seeds below 1000 whose round-off-level errors on entries near 1e-7 failed

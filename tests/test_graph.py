@@ -68,13 +68,13 @@ def test_symmetrize_rejects_normalized():
 
 
 def test_degrees_negative_kernel():
-    m = AffinityMatrix(np.array([[1.0, -0.5], [0.2, 1.0]]), "dot")
+    m = AffinityMatrix(np.array([[1.0, -0.5], [0.2, 1.0]]))
     with pytest.raises(KernelDomainError):
         graph.degrees(m)
 
 
 def test_degrees_degenerate_vertex():
-    m = AffinityMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]), "dot")
+    m = AffinityMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(DegenerateVertexError):
         graph.degrees(m)
 
@@ -103,14 +103,6 @@ def test_symmetric_spectrum_in_unit_interval():
     a = graph.normalize(graph.symmetrize(rand_affinity(rng, 12)), "symmetric")
     lam = np.linalg.eigvalsh(a.values)
     assert lam.min() >= -1.0 - 1e-12 and lam.max() <= 1.0 + 1e-12
-
-
-def test_scaled_laplacian_is_negated_affinity():
-    rng = np.random.default_rng(9)
-    a = graph.normalize(graph.symmetrize(rand_affinity(rng, 6)), "symmetric")
-    assert np.array_equal(graph.scaled_laplacian(a), -a.values)
-    with pytest.raises(PreconditionError):
-        graph.scaled_laplacian(rand_affinity(rng, 6))
 
 
 def test_crisscross_mask_row_sums():

@@ -46,17 +46,6 @@ def test_dataset_config_errors():
         harness.gen_dataset(seed=0, n_samples=4, c=4, p=2, min_separation=8)
 
 
-def test_dataset_save_load_roundtrip(tmp_path):
-    data = harness.gen_dataset(seed=4, n_samples=8, c=4, p=2)
-    harness.save_dataset(data, tmp_path)
-    back = harness.load_dataset(tmp_path)
-    assert back.pattern_count == data.pattern_count
-    assert back.min_separation == data.min_separation
-    for (f1, l1), (f2, l2) in zip(data.samples, back.samples):
-        assert l1 == l2
-        assert np.array_equal(f1.values, f2.values)
-
-
 def test_toynet_channel_mismatch():
     cfg = BlockConfig(variant="SNL", c_in=8, c_s=2)
     with pytest.raises(ConfigError):

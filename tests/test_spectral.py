@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from snl import graph, linalg, spectral
-from snl.errors import FilterSpecError, PreconditionError, ShapeError
+from snl.blocks import generalized_forward
+from snl.errors import FilterSpecError, NumericError, PreconditionError, ShapeError
 from snl.spectral import FilterSpec
 
 
@@ -17,14 +18,18 @@ def test_filter_spec_validation():
     FilterSpec(order=2, theta=[0.1, 0.2])
     with pytest.raises(FilterSpecError):
         FilterSpec(order=0, theta=[1.0])
-    with pytest.raises(FilterSpecError):
-        FilterSpec(order=1)  # neither theta nor weights
-    with pytest.raises(FilterSpecError):
-        FilterSpec(order=1, theta=[1.0], weights=[np.eye(2)])  # both
+    with pytest.raises(TypeError):
+        FilterSpec(order=1)  # no coefficients
     with pytest.raises(FilterSpecError):
         FilterSpec(order=3, theta=[1.0, 2.0])  # too few coefficients
+    # weight matrices, one per power, go to generalized_forward
+    a, z = np.eye(3), np.zeros((3, 2))
     with pytest.raises(FilterSpecError):
-        FilterSpec(order=2, weights=[np.zeros((2, 3)), np.zeros((3, 3))])
+        generalized_forward(a, z, [])
+    with pytest.raises(FilterSpecError):
+        generalized_forward(a, z, [np.zeros((2, 3)), np.zeros((3, 3))])
+    with pytest.raises(NumericError):
+        generalized_forward(a, z, [np.zeros((2, 1)), np.full((2, 1), np.nan)])
 
 
 def test_gft_roundtrip_preserves_norm():
@@ -50,9 +55,15 @@ def test_operand_shape_mismatch_is_typed():
     with pytest.raises(ShapeError):
         spectral.apply_generalized_filter(u, np.ones(3), np.zeros((4, 1)))
     a = sym_affinity(np.random.default_rng(10), 3)
-    spec = FilterSpec(order=2, weights=[np.zeros((2, 1))] * 2)
     with pytest.raises(ShapeError):
-        spectral.poly_filter_apply(a, np.zeros((3, 3)), spec)
+        spectral.poly_filter_apply(a, np.zeros((4, 1)), FilterSpec(order=1, theta=[1.0]))
+    ws = [np.zeros((2, 1))] * 2
+    with pytest.raises(ShapeError):
+        generalized_forward(a.values, np.zeros((3, 3)), ws)  # Z columns vs weight rows
+    with pytest.raises(ShapeError):
+        generalized_forward(a.values, np.zeros((4, 2)), ws)  # A size vs Z rows
+    with pytest.raises(ShapeError):
+        generalized_forward(np.zeros((3, 4)), np.zeros((3, 2)), ws)  # A not square
 
 
 def test_apply_generalized_filter_matches_manual():
@@ -63,23 +74,6 @@ def test_apply_generalized_filter_matches_manual():
     z = rng.normal(size=(8, 3))
     want = u @ np.diag(omega) @ u.T @ z
     assert np.max(np.abs(spectral.apply_generalized_filter(u, omega, z) - want)) < 1e-12
-
-
-def test_cheb_recursion_explicit_terms():
-    rng = np.random.default_rng(2)
-    lt = graph.scaled_laplacian(sym_affinity(rng, 6))
-    terms = spectral.cheb_recursion(lt, 4)
-    assert np.array_equal(terms[0], np.eye(6))
-    assert np.array_equal(terms[1], lt)
-    assert np.max(np.abs(terms[2] - (2 * lt @ lt - np.eye(6)))) < 1e-12
-    assert np.max(np.abs(terms[3] - (2 * lt @ terms[2] - lt))) < 1e-12
-
-
-def test_cheb_recursion_errors():
-    with pytest.raises(ShapeError):
-        spectral.cheb_recursion(np.zeros((2, 3)), 2)
-    with pytest.raises(FilterSpecError):
-        spectral.cheb_recursion(np.eye(2), 0)
 
 
 def test_poly_filter_theta_matches_explicit_powers():
@@ -98,10 +92,9 @@ def test_poly_filter_weights_matches_explicit_powers():
     a = sym_affinity(rng, 5, c=2)
     z = rng.normal(size=(5, 2))
     ws = [rng.normal(size=(2, 3)) for _ in range(3)]
-    spec = FilterSpec(order=3, weights=ws)
     av = a.values
     want = z @ ws[0] + av @ z @ ws[1] + av @ av @ z @ ws[2]
-    assert np.max(np.abs(spectral.poly_filter_apply(a, z, spec) - want)) < 1e-12
+    assert np.max(np.abs(generalized_forward(av, z, ws) - want)) < 1e-12
 
 
 def test_poly_filter_requires_normalized_affinity():
