@@ -73,8 +73,23 @@ def _cmd_gradcheck(args) -> int:
     return 0 if all_pass else 1
 
 
-_TRAIN_KEYS = {"block", "dataset", "steps", "lr", "batch_size", "eval_every"}
-_DATASET_KEYS = {"n_samples", "channels", "patterns", "min_separation", "noise"}
+# Run keys pass to harness.train under their own names, dataset keys to
+# harness.gen_dataset under the parameter names mapped here; the defaults of
+# keys a config leaves out are those two functions' own.
+_RUN_KEYS = ("steps", "lr", "batch_size", "eval_every")
+_DATASET_ARGS = {"n_samples": "n_samples", "channels": "c", "patterns": "p",
+                 "min_separation": "min_separation", "noise": "noise"}
+_REAL_KEYS = {"lr", "noise"}  # finite numbers; the other run and dataset keys are integers
+
+
+def _check_scalar(key: str, value) -> None:
+    # type() rather than isinstance(): JSON true and false are not numbers here
+    if key in _REAL_KEYS:
+        ok, kind = type(value) in (int, float) and np.isfinite(value), "a finite number"
+    else:
+        ok, kind = type(value) is int, "an integer"
+    if not ok:
+        raise ConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
 
 
 def load_train_config(path) -> dict:
@@ -87,41 +102,33 @@ def load_train_config(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("train config must be a JSON object")
-    unknown = set(cfg) - _TRAIN_KEYS
+    unknown = set(cfg) - {"block", "dataset", *_RUN_KEYS}
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+    if not isinstance(cfg.get("block"), (dict, type(None))):
+        raise ConfigError("block must be a block config object or null")
     ds = cfg.get("dataset", {})
-    unknown = set(ds) - _DATASET_KEYS
+    if not isinstance(ds, dict):
+        raise ConfigError("dataset must be an object")
+    unknown = set(ds) - set(_DATASET_ARGS)
     if unknown:
         raise ConfigError(f"unknown dataset config keys: {sorted(unknown)}")
+    run = {k: v for k, v in cfg.items() if k in _RUN_KEYS}
+    for key, value in (run | ds).items():
+        _check_scalar(key, value)
     return cfg
 
 
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
-    ds_cfg = cfg.get("dataset", {})
     block_cfg = None
     if cfg.get("block") is not None:
         block_cfg = BlockConfig.from_dict(cfg["block"])
-    channels = ds_cfg.get("channels", 4)
-    data = harness.gen_dataset(
-        seed=args.seed,
-        n_samples=ds_cfg.get("n_samples", 512),
-        c=channels,
-        p=ds_cfg.get("patterns", 2),
-        min_separation=ds_cfg.get("min_separation", 5),
-        noise=ds_cfg.get("noise", 0.01),
-    )
-    net = harness.init_toynet(channels, block_cfg, seed=args.seed)
-    history = harness.train(
-        net,
-        data,
-        steps=cfg.get("steps", 2000),
-        lr=cfg.get("lr", 0.03),
-        seed=args.seed,
-        batch_size=cfg.get("batch_size", 32),
-        eval_every=cfg.get("eval_every", 100),
-    )
+    ds_cfg = {_DATASET_ARGS[k]: v for k, v in cfg.get("dataset", {}).items()}
+    data = harness.gen_dataset(seed=args.seed, **ds_cfg)
+    net = harness.init_toynet(data.values.shape[-1], block_cfg, seed=args.seed)
+    run_cfg = {k: cfg[k] for k in _RUN_KEYS if k in cfg}
+    history = harness.train(net, data, seed=args.seed, **run_cfg)
     os.makedirs(args.out, exist_ok=True)
     _write_lines(os.path.join(args.out, "metrics.csv"), harness.history_to_csv_rows(history))
     final = history[-1]
@@ -209,12 +216,10 @@ def _bench_train_step() -> float:
     """One SGD step of the toy net with an SNL block: B=32, N=64, c_s=2."""
     data = harness.gen_dataset(seed=0, n_samples=32, c=4)
     net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
-    values = np.stack([fm.values for fm, _ in data.samples])
-    labels = np.array([label for _, label in data.samples])
     velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
     # lr 0 keeps the weights, so every repeat does the same work
     return _median_seconds(
-        lambda: harness._sgd_step(net, velocity, values, labels, 0.0, 0.9, step=1)
+        lambda: harness._sgd_step(net, velocity, data.values, data.labels, 0.0, step=1)
     )
 
 

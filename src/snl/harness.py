@@ -10,20 +10,19 @@ with a nonlocal block inserted after the conv can.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blocks
 from .blocks import BlockConfig, BlockParams
 from .errors import ConfigError, DivergenceError
-from .graph import FeatureMap
 
 GRID = 8  # fixed 8x8 grid, N = 64
 
 
 @dataclass
 class PairedPatchDataset:
-    samples: list  # (FeatureMap, label) pairs
-    pattern_count: int
-    min_separation: int
+    values: np.ndarray  # (S, N, C) samples on the GRID x GRID grid
+    labels: np.ndarray  # (S,) 1 where the two marked patterns match, else 0
 
 
 def _cheb_distance(i: int, j: int) -> int:
@@ -34,7 +33,7 @@ def _cheb_distance(i: int, j: int) -> int:
 
 def gen_dataset(
     seed: int,
-    n_samples: int,
+    n_samples: int = 512,
     c: int = 4,
     p: int = 2,
     min_separation: int = 5,
@@ -45,6 +44,10 @@ def gen_dataset(
     Patterns are the first ``p`` standard basis vectors of R^c (orthogonal,
     unit norm); background cells carry small Gaussian noise.
     """
+    if n_samples < 1:
+        raise ConfigError(f"need at least 1 sample, got {n_samples}")
+    if not noise >= 0:
+        raise ConfigError(f"noise must be >= 0, got {noise}")
     if p < 2:
         raise ConfigError(f"need at least 2 patterns, got {p}")
     if p > c:
@@ -60,9 +63,9 @@ def gen_dataset(
     labels[: n_samples // 2] = 1
     rng.shuffle(labels)
 
-    samples = []
-    for label in labels:
-        values = rng.normal(0.0, noise, size=(n, c))
+    values = np.empty((n_samples, n, c))
+    for sample, label in zip(values, labels):
+        sample[:] = rng.normal(0.0, noise, size=(n, c))
         while True:
             i, j = rng.integers(0, n, size=2)
             if _cheb_distance(int(i), int(j)) >= min_separation:
@@ -71,22 +74,12 @@ def gen_dataset(
             k1 = k2 = int(rng.integers(0, p))
         else:
             k1, k2 = rng.choice(p, size=2, replace=False)
-        values[i] = patterns[k1]
-        values[j] = patterns[k2]
-        samples.append((FeatureMap(GRID, GRID, c, values), int(label)))
-    return PairedPatchDataset(samples, p, min_separation)
+        sample[i] = patterns[k1]
+        sample[j] = patterns[k2]
+    return PairedPatchDataset(values, labels)
 
 
 # --- tiny network -------------------------------------------------------------
-
-
-def _patch_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 9) row/col indices into the zero-padded (h+2, w+2) grid."""
-    rows = np.arange(h)[:, None, None, None] + np.arange(3)[None, None, :, None]
-    cols = np.arange(w)[None, :, None, None] + np.arange(3)[None, None, None, :]
-    rows = np.broadcast_to(rows, (h, w, 3, 3)).reshape(h * w, 9)
-    cols = np.broadcast_to(cols, (h, w, 3, 3)).reshape(h * w, 9)
-    return rows, cols
 
 
 @dataclass
@@ -99,8 +92,6 @@ class ToyNet:
     head_b: np.ndarray  # (2,)
     block_cfg: BlockConfig | None = None
     block_params: BlockParams | None = None
-    height: int = GRID
-    width: int = GRID
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = [
@@ -142,15 +133,14 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     dict for ``_backward_batch``.
     """
     b, n, c = batch_values.shape
-    h, w = net.height, net.width
-    grids = batch_values.reshape(b, h, w, c)
-    padded = np.pad(grids, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    rows, cols = _patch_indices(h, w)
-    patches = padded[:, rows, cols, :].reshape(b, n, 9 * c)
+    padded = np.pad(batch_values.reshape(b, GRID, GRID, c), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    # (b, row, col, c, 3, 3) windows, laid out as conv_w's rows: (dy, dx, channel)
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
+    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, n, 9 * c)
     act = patches @ net.conv_w + net.conv_b
     tapes = None
     if net.block_cfg is not None:
-        blocked, tapes = blocks.block_forward_batch(act, h, w, net.block_cfg, net.block_params)
+        blocked, tapes = blocks.block_forward_batch(act, GRID, GRID, net.block_cfg, net.block_params)
     else:
         blocked = act
     pooled = blocked.mean(axis=1)
@@ -203,8 +193,11 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     return grads
 
 
+MOMENTUM = 0.9
+
+
 def _sgd_step(net: ToyNet, velocity: dict, values: np.ndarray, labels: np.ndarray,
-              lr: float, momentum: float, step: int) -> None:
+              lr: float, step: int) -> None:
     """One momentum-SGD step on a batch (one block call forward, one back)."""
     state = _forward_batch(net, values)
     loss, dlogits = _softmax_ce(state["logits"], labels)
@@ -213,7 +206,7 @@ def _sgd_step(net: ToyNet, velocity: dict, values: np.ndarray, labels: np.ndarra
     grads = _backward_batch(net, state, dlogits)
     for name, param in net.parameters():
         v = velocity[name]
-        v *= momentum
+        v *= MOMENTUM
         v += grads[name]
         param -= lr * v
 
@@ -232,8 +225,7 @@ EVAL_CHUNK = 32
 def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = EVAL_CHUNK) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over the full dataset, ``chunk``
     samples per forward pass."""
-    values = np.stack([fm.values for fm, _ in data.samples])
-    labels = np.array([label for _, label in data.samples])
+    values, labels = data.values, data.labels
     total_nll = 0.0
     correct = 0
     with np.errstate(**DIVERGENCE_ERRSTATE):
@@ -249,11 +241,11 @@ def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = EVAL_CHUNK) -> 
 def train(
     net: ToyNet,
     data: PairedPatchDataset,
-    steps: int,
-    lr: float,
+    *,
     seed: int,
+    steps: int = 2000,
+    lr: float = 0.03,
     batch_size: int = 32,
-    momentum: float = 0.9,
     eval_every: int = 100,
 ) -> list[dict]:
     """Plain minibatch SGD with momentum on cross-entropy.
@@ -262,13 +254,16 @@ def train(
     forward and backward, and every sum over the batch runs in a fixed
     order (see ``_backward_batch``). Returns the metrics history as a
     list of {"step", "loss", "accuracy"} rows evaluated on the full
-    training set every ``eval_every`` steps and at the final step.
+    training set every ``eval_every`` steps and at the final step. The
+    defaults are those of ``snl train`` for keys its config leaves out.
     """
-    if lr < 0:
+    if not lr >= 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    for name, count in (("steps", steps), ("batch_size", batch_size), ("eval_every", eval_every)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    values = np.stack([fm.values for fm, _ in data.samples])
-    labels = np.array([label for _, label in data.samples])
+    values, labels = data.values, data.labels
     n_samples = len(labels)
     batch_size = min(batch_size, n_samples)
 
@@ -285,7 +280,7 @@ def train(
             idx = order[cursor : cursor + batch_size]
             cursor += batch_size
 
-            _sgd_step(net, velocity, values[idx], labels[idx], lr, momentum, step)
+            _sgd_step(net, velocity, values[idx], labels[idx], lr, step)
 
             if step % eval_every == 0 or step == steps:
                 full_loss, acc = evaluate(net, data)

@@ -15,8 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import FilterSpecError, PreconditionError, ShapeError
+from .errors import FilterSpecError, NumericError, PreconditionError, ShapeError
 from .graph import AffinityMatrix
+
+
+def _coefficients(theta) -> np.ndarray:
+    """theta as a flat float64 vector of finite filter coefficients."""
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(theta)):
+        raise NumericError(f"filter coefficients must be finite, got {theta}")
+    return theta
 
 
 @dataclass
@@ -30,7 +38,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.order < 1:
             raise FilterSpecError(f"order must be >= 1, got {self.order}")
-        self.theta = np.asarray(self.theta, dtype=np.float64).ravel()
+        self.theta = _coefficients(self.theta)
         if self.theta.size < self.order:
             raise FilterSpecError(
                 f"order {self.order} exceeds coefficient count {self.theta.size}"
@@ -121,7 +129,7 @@ def spectral_oracle(a: AffinityMatrix, z: np.ndarray, theta) -> np.ndarray:
             "(non-symmetric operators have complex eigenvalues)"
         )
     z = linalg.as_matrix(z)
-    theta = np.asarray(theta, dtype=np.float64).ravel()
+    theta = _coefficients(theta)
     dec = linalg.eigh(v)
     response = np.polynomial.polynomial.polyval(dec.eigenvalues, theta)
     return apply_generalized_filter(dec.eigenvectors, response, z)

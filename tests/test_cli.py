@@ -77,6 +77,29 @@ def test_train_unknown_dataset_key(tmp_path):
     assert cli.run(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"steps": 0}',
+    '{"eval_every": 0}',
+    '{"batch_size": 0}',
+    '{"dataset": null}',
+    '{"dataset": []}',
+    '{"dataset": {"n_samples": 0}}',
+    '{"dataset": {"noise": -0.5}}',
+    '{"dataset": {"channels": "4"}}',
+    '{"steps": "ten"}',
+    '{"steps": 2.5}',
+    '{"steps": true}',
+    '{"lr": "x"}',
+    '{"lr": NaN}',
+    '{"block": 5}',
+])
+def test_train_bad_config_is_config_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli.run(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_missing_config():
     assert cli.run(["train", "--config", "/no/such/file.json", "--out", "/tmp/x"]) == 2
 

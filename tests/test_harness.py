@@ -4,37 +4,36 @@ import pytest
 from snl import harness
 from snl.blocks import BlockConfig
 from snl.errors import ConfigError, DivergenceError
-from snl.graph import FeatureMap
 
 
 def test_dataset_balance():
     data = harness.gen_dataset(seed=0, n_samples=100, c=4, p=2)
-    pos = sum(label for _, label in data.samples)
-    assert abs(pos - 50) <= 1
+    assert data.values.shape == (100, 64, 4)
+    assert data.labels.shape == (100,)
+    assert abs(int(data.labels.sum()) - 50) <= 1
 
 
 def test_dataset_marked_cells_respect_separation():
     data = harness.gen_dataset(seed=1, n_samples=64, c=4, p=2, min_separation=5)
-    for fm, _ in data.samples:
-        marks = [i for i in range(64) if np.max(np.abs(fm.values[i])) == 1.0]
+    for values in data.values:
+        marks = [i for i in range(64) if np.max(np.abs(values[i])) == 1.0]
         assert len(marks) == 2
         assert harness._cheb_distance(marks[0], marks[1]) >= 5
 
 
 def test_dataset_label_matches_patterns():
     data = harness.gen_dataset(seed=2, n_samples=64, c=4, p=2, noise=0.0)
-    for fm, label in data.samples:
-        marks = [i for i in range(64) if np.linalg.norm(fm.values[i]) > 0.5]
-        k1, k2 = (int(np.argmax(fm.values[i])) for i in marks)
+    for values, label in zip(data.values, data.labels):
+        marks = [i for i in range(64) if np.linalg.norm(values[i]) > 0.5]
+        k1, k2 = (int(np.argmax(values[i])) for i in marks)
         assert label == int(k1 == k2)
 
 
 def test_dataset_determinism():
     d1 = harness.gen_dataset(seed=3, n_samples=16, c=4, p=2)
     d2 = harness.gen_dataset(seed=3, n_samples=16, c=4, p=2)
-    for (f1, l1), (f2, l2) in zip(d1.samples, d2.samples):
-        assert l1 == l2
-        assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(d1.labels, d2.labels)
+    assert np.array_equal(d1.values, d2.values)
 
 
 def test_dataset_config_errors():
@@ -44,6 +43,10 @@ def test_dataset_config_errors():
         harness.gen_dataset(seed=0, n_samples=4, c=2, p=3)
     with pytest.raises(ConfigError):
         harness.gen_dataset(seed=0, n_samples=4, c=4, p=2, min_separation=8)
+    with pytest.raises(ConfigError):
+        harness.gen_dataset(seed=0, n_samples=0)
+    with pytest.raises(ConfigError):
+        harness.gen_dataset(seed=0, n_samples=4, noise=-0.1)
 
 
 def test_toynet_channel_mismatch():
@@ -60,10 +63,9 @@ def test_receptive_field_separation():
     # Perturbations of two far-apart cells interact in the block net's
     # logits but are exactly additive for the 3x3-conv baseline.
     data = harness.gen_dataset(seed=5, n_samples=2, c=4, p=2)
-    fm, _ = data.samples[0]
-    marks = [i for i in range(64) if np.max(np.abs(fm.values[i])) == 1.0]
+    base = data.values[0]
+    marks = [i for i in range(64) if np.max(np.abs(base[i])) == 1.0]
     i, j = marks
-    base = fm.values
     pert_i = base.copy()
     pert_i[i] += 0.5
     pert_j = base.copy()
@@ -94,14 +96,24 @@ def test_receptive_field_separation():
     assert np.max(np.abs(cross)) > 1e-6
 
 
+def test_conv_patches_are_the_padded_3x3_windows():
+    values = np.random.default_rng(4).normal(size=(3, 64, 4))
+    patches = harness._forward_batch(harness.init_toynet(4, None, seed=0), values)["patches"]
+    padded = np.pad(values.reshape(3, 8, 8, 4), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    for r in range(8):
+        for c in range(8):
+            # rows of conv_w are ordered (dy, dx, channel)
+            want = padded[:, r : r + 3, c : c + 3, :].reshape(3, 36)
+            assert np.array_equal(patches[:, 8 * r + c], want)
+
+
 def test_baseline_act_changes_only_locally():
     data = harness.gen_dataset(seed=6, n_samples=1, c=4, p=2)
-    fm, _ = data.samples[0]
     net = harness.init_toynet(4, None, seed=1)
-    pert = fm.values.copy()
+    pert = data.values[0].copy()
     cell = 27  # row 3, col 3
     pert[cell] += 1.0
-    a0 = harness._forward_batch(net, fm.values[None])["act"][0]
+    a0 = harness._forward_batch(net, data.values[:1])["act"][0]
     a1 = harness._forward_batch(net, pert[None])["act"][0]
     changed = np.where(np.max(np.abs(a1 - a0), axis=1) > 0)[0]
     r0, c0 = divmod(cell, 8)
@@ -123,6 +135,16 @@ def test_train_negative_lr_rejected():
     net = harness.init_toynet(4, None, seed=0)
     with pytest.raises(ConfigError):
         harness.train(net, data, steps=1, lr=-0.1, seed=0)
+    with pytest.raises(ConfigError):
+        harness.train(net, data, steps=1, lr=float("nan"), seed=0)
+
+
+@pytest.mark.parametrize("count", ["steps", "batch_size", "eval_every"])
+def test_train_nonpositive_count_rejected(count):
+    data = harness.gen_dataset(seed=7, n_samples=16, c=4, p=2)
+    net = harness.init_toynet(4, None, seed=0)
+    with pytest.raises(ConfigError):
+        harness.train(net, data, seed=0, **{"steps": 1, count: 0})
 
 
 def test_overfit_single_sample():

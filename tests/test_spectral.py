@@ -139,3 +139,12 @@ def test_spectral_oracle_rejects_asymmetric():
     )
     with pytest.raises(PreconditionError):
         spectral.spectral_oracle(a, np.zeros((5, 1)), [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_is_numeric_error(bad):
+    a = sym_affinity(np.random.default_rng(11), 5)
+    with pytest.raises(NumericError):
+        FilterSpec(order=2, theta=[bad, 1.0])
+    with pytest.raises(NumericError):
+        spectral.spectral_oracle(a, np.ones((5, 1)), [bad, 1.0])
