@@ -12,6 +12,9 @@ stack and returns the output with a ``Tape`` of intermediates, which
 match byte for byte. The forward and ``generalized_forward`` evaluate the
 polynomial with ``spectral._polynomial``, one product with A per power;
 the backward takes one product with A^T per power: both are linear in K.
+The symmetric recipes read no (V, V) array transposed past a tile: the
+forward forms M^T as the swapped product psi phi^T, and the backward forms
+dL/dA + (dL/dA)^T as one product of the factors of dL/dA.
 """
 
 from dataclasses import dataclass, field, replace
@@ -53,6 +56,16 @@ class BlockConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        for name in ("c_in", "c_s", "order"):
+            value = getattr(self, name)
+            # bool is an int subclass; JSON true and false are not counts here
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.kernel, str):
+            raise ConfigError(f"kernel must be a string, got {self.kernel!r}")
+        if not isinstance(self.backprop_affinity, bool):
+            raise ConfigError(f"backprop_affinity must be true or false, got "
+                              f"{self.backprop_affinity!r}")
         if not (1 <= self.c_s <= self.c_in):
             raise ConfigError(f"need 1 <= c_s <= c_in, got c_s={self.c_s}, c_in={self.c_in}")
         if self.kernel not in graph.KERNELS:
@@ -303,16 +316,41 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
     if recipe.node == "v":
         _vertices(cfg, height * width)  # raises past the vertex cap
         t.v = graph.flatten_spatial_channel(t.z)
-    left, right = recipe.pair
-    t.m = graph.kernel_matrix(getattr(t, left), getattr(t, right), cfg.kernel)
+    left, right = (getattr(t, name) for name in recipe.pair)
+    t.m = graph.kernel_matrix(left, right, cfg.kernel)
     t.z_node = getattr(t, recipe.node)
     if recipe.mask:
         t.mask = graph.crisscross_mask(height, width)
-    raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m)
-    if recipe.normalization == "symmetric":
-        raw = graph.symmetrize(raw)
+    if recipe.normalization == "symmetric":  # no symmetric row masks
+        raw = _symmetrized(t.m, left, right, cfg.kernel)
+    else:
+        raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m)
     t.a = raw if recipe.normalization == "none" else graph.normalize(raw, recipe.normalization)
     return t
+
+
+def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str) -> AffinityMatrix:
+    """(M + M^T) / 2 of the kernel stack M = k(left, right), bit for bit
+    what ``graph.symmetrize`` gives.
+
+    Past TILE_BYTES per sample, M^T is formed as the swapped product
+    right left^T, scaled and exponentiated like M, so no (V, V) array is
+    read transposed: at N = 1024 that read walks an 8 KiB row stride, one
+    cache set per column, and took 15-19 ms against 1-3 ms for a
+    contiguous add. BLAS returns each entry of the swapped product bit for
+    bit (the tests check this at the block path's shapes), so it needs no
+    overflow guard of its own. Within a tile M stays in cache, where the
+    transposed read is cheaper than a second exp.
+    """
+    if m[0].nbytes <= TILE_BYTES:
+        return graph.symmetrize(AffinityMatrix(m))
+    mt = right @ _t(left)
+    if kernel == "exp_dot":
+        mt /= np.sqrt(left.shape[-1])
+        np.exp(mt, out=mt)
+    mt += m
+    mt *= 0.5
+    return AffinityMatrix(mt, symmetrized=True)
 
 
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
@@ -450,34 +488,38 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _normalization_backward(t: Tape, g_a: np.ndarray) -> np.ndarray:
-    """Gradient through degree normalization: dL/dA -> dL/dM (raw kernel).
+def _normalization_backward(t: Tape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gradient through degree normalization: dL/dA, given as its factors
+    u v^T, -> dL/dM (raw kernel).
 
-    Works in place where it can, to keep the tile's working set small;
-    ``g_a`` may be overwritten.
+    Works in place where it can, to keep the tile's working set small.
     """
     a = t.a.values
+    if t.a.normalization == "symmetric":
+        # A = M_hat * s s^T, s = d^-1/2, d the row sums of M_hat = (M + M^T)/2.
+        # With H = dL/dA + (dL/dA)^T, formed as one product [u v] [v u]^T so
+        # that no (V, V) array is read transposed, and A symmetric, the row
+        # and column sums of dL/dA * A add up to q = (H * A).sum(-1), and
+        # dL/dM = (s s^T * H - q/(2d) along rows - the same along columns) / 2.
+        h = np.concatenate((u, v), axis=-1) @ _t(np.concatenate((v, u), axis=-1))
+        s = 1.0 / np.sqrt(t.a.degrees)
+        g_m = np.multiply(h, a)
+        r = g_m.sum(axis=-1) / (4.0 * t.a.degrees)  # the halving folded in
+        np.multiply((0.5 * s)[..., :, None], s[..., None, :], out=g_m)
+        g_m *= h
+        g_m -= r[..., :, None]
+        g_m -= r[..., None, :]
+        return g_m
+    g_a = u @ _t(v)
     if t.a.normalization == "none":
         return g_a
-    d = t.a.degrees
+    # random walk: A_ij = M_ij / d_i with d_i the row sum (quotient rule)
     ga_a = g_a * a
-    if t.a.normalization == "random_walk":
-        # A_ij = M_ij / d_i with d_i the row sum (quotient rule)
-        r = ga_a.sum(axis=-1)
-        g_m = np.subtract(g_a, r[..., :, None], out=ga_a)
-        g_m /= d[..., :, None]
-        if t.mask is not None:
-            g_m *= t.mask
-        return g_m
-    # symmetric: A = M_hat * s s^T with s = d^-1/2, d the row sums of M_hat
-    s = 1.0 / np.sqrt(d)
-    row = ga_a.sum(axis=-1)
-    col = ga_a.sum(axis=-2)
-    g_mhat = s[..., :, None] * s[..., None, :]
-    g_mhat *= g_a
-    g_mhat -= ((row + col) / (2.0 * d))[..., :, None]
-    g_m = np.add(g_mhat, _t(g_mhat), out=ga_a)
-    g_m *= 0.5
+    r = ga_a.sum(axis=-1)
+    g_m = np.subtract(g_a, r[..., :, None], out=ga_a)
+    g_m /= t.a.degrees[..., :, None]
+    if t.mask is not None:
+        g_m *= t.mask
     return g_m
 
 
@@ -518,8 +560,8 @@ def block_backward_batch(
 
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
-    a tile: each role's per-sample gradient, dL/dz_node, and dL/dA (None
-    without ``backprop_affinity``).
+    a tile: each role's per-sample gradient, dL/dz_node, and dL/dA as the
+    factors (u, v) of dL/dA = u v^T (None without ``backprop_affinity``).
 
     g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
     that read powers[k] and then takes A^T g_p[k + 1] from the power above,
@@ -542,8 +584,8 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
         g_p[k - 1] = r if g_p[k - 1] is None else g_p[k - 1] + r
     g_a = None
     if cfg.backprop_affinity:
-        # dL/dA = sum_k g_p[k] powers[k-1]^T, one product over every k
-        g_a = np.concatenate(g_p[1:], axis=-1) @ _t(np.concatenate(tape.powers[:top], axis=-1))
+        # dL/dA = sum_k g_p[k] powers[k-1]^T = u v^T, one product over every k
+        g_a = np.concatenate(g_p[1:], axis=-1), np.concatenate(tape.powers[:top], axis=-1)
     return per_sample, g_p[0], g_a
 
 
@@ -554,10 +596,10 @@ def _add(grads: dict, name: str, grad: np.ndarray) -> None:
 def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """dL/dX of one tile and each parameter's per-sample gradients."""
     recipe = _RECIPES[cfg.variant]
-    per_sample, g_node, g_a = _polynomial_backward(tape, cfg, params, g)
+    per_sample, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
     grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
-    if g_a is not None:
-        g_s = _normalization_backward(tape, g_a)
+    if g_a_factors is not None:
+        g_s = _normalization_backward(tape, *g_a_factors)
         left, right = recipe.pair
         width = getattr(tape, left).shape[-1]
         if cfg.kernel == "exp_dot":

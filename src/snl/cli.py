@@ -1,8 +1,8 @@
 """Command-line entry point: verification, gradient checks, toy training,
 attention export, and benchmarking.
 
-Exit codes: 0 = success, 1 = a verification/gradcheck suite failed,
-2 = usage or configuration error.
+Exit codes: 0 = success, 1 = a verification/gradcheck suite or the bench
+K-scaling gate failed, 2 = usage or configuration error.
 """
 
 import argparse
@@ -223,6 +223,51 @@ def _bench_train_step() -> float:
     )
 
 
+# perfbench's bound on the filter-only increment ratio; 1.0 is linear in K
+CHEB_GROWTH_LIMIT = 1.5
+# back-to-back K triplets of the filter-only timing
+BENCH_TRIPLETS = 21
+
+
+def _increment_ratio(times: dict, ks: list[int]) -> float:
+    """(t(hi) - t(mid)) / ((hi - mid)/(mid - lo) (t(mid) - t(lo))) of the
+    lowest, middle and highest order: 1.0 when the time is linear in K,
+    above when it grows faster. Stages outside the filter cost the same at
+    every K and cancel out of both increments."""
+    lo, mid, hi = ks[0], ks[len(ks) // 2], ks[-1]
+    step = (hi - mid) / (mid - lo) * (times[mid] - times[lo])
+    return (times[hi] - times[mid]) / step if step > 0 else float("inf")
+
+
+def _filter_scaling(n: int, ks: list[int], rng) -> tuple[dict, float | None]:
+    """Median seconds of ``generalized_forward`` alone per order on an
+    N-vertex symmetric affinity, and the median increment ratio over
+    back-to-back triplets (None with fewer than three orders): a slow
+    spell of the host cancels out of each triplet's ratio."""
+    cfg = BlockConfig(variant="CHEB_K", c_in=8, c_s=4, order=ks[-1])
+    height, width = _grid_dims(n, None)
+    x = FeatureMap(height, width, 8, rng.normal(0, 0.2, size=(n, 8)))
+    params = blocks.random_params(cfg, rng)
+    a = blocks.build_block_affinity(x, cfg, params).values
+    z = x.values @ params.w_z
+    weights = [params.filters[f"w{k + 1}"] for k in range(ks[-1])]
+
+    def triplet() -> dict:
+        times = {}
+        for k in ks:
+            t0 = time.perf_counter()
+            blocks.generalized_forward(a, z, weights[:k])
+            times[k] = time.perf_counter() - t0
+        return times
+
+    triplet()  # warm-up
+    runs = [triplet() for _ in range(BENCH_TRIPLETS)]
+    medians = {k: float(np.median([t[k] for t in runs])) for k in ks}
+    if len(ks) < 3:
+        return medians, None
+    return medians, float(np.median([_increment_ratio(t, ks) for t in runs]))
+
+
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     orders = [int(k) for k in args.orders.split(",")]
@@ -237,31 +282,34 @@ def _cmd_bench(args) -> int:
     t = _bench_train_step()
     rows.append(f"train_step,{harness.GRID * harness.GRID},2,{t:.6f}")
     print(f"train_step N={harness.GRID * harness.GRID:<6} B=32  {t:.4f}s")
-    # cost growth in K, forward and backward at the largest N, guards
-    # against materializing A^k. Stages outside the filter cost the same at
-    # every K, so the increment ratio compares the growth from mid to hi
-    # with that from lo to mid: 1.0 when linear in K, above when faster.
+    # cost growth in K at the largest N guards against materializing A^k:
+    # the filter alone, which the gate reads, and the block forward +
+    # backward, where the other stages hide most of the filter's growth
     n_fixed = max(sizes)
     ks = sorted(set(orders))
-    lo, mid, hi = ks[0], ks[len(ks) // 2], ks[-1]
-    for label, backward in (("CHEB_K", False), ("CHEB_K_fwd_bwd", True)):
-        times = {}
-        for order in orders:
-            t = _bench_once("CHEB_K", n_fixed, order, rng, backward)
-            times[order] = t
-            rows.append(f"{label},{n_fixed},{order},{t:.6f}")
-            print(f"{label:<8} N={n_fixed:<6} K={order}  {t:.4f}s")
-        if len(ks) < 3:
-            print(f"{label} K-scaling: the increment ratio needs three orders")
-            continue
-        span = (hi - mid) / (mid - lo)
-        step = span * (times[mid] - times[lo])
-        ratio = (times[hi] - times[mid]) / step if step else float("nan")
-        print(f"{label} K-scaling: (t(K={hi}) - t(K={mid})) / ({span:g} (t(K={mid}) - "
-              f"t(K={lo}))) = {ratio:.2f} (1.0 is linear)")
+    filter_times, growth = _filter_scaling(n_fixed, ks, rng)
+    for order in ks:
+        rows.append(f"CHEB_K_filter,{n_fixed},{order},{filter_times[order]:.6f}")
+        print(f"CHEB_K_filter N={n_fixed:<6} K={order}  {filter_times[order]:.4f}s")
+    times = {}
+    for order in ks:
+        times[order] = _bench_once("CHEB_K", n_fixed, order, rng, backward=True)
+        rows.append(f"CHEB_K_fwd_bwd,{n_fixed},{order},{times[order]:.6f}")
+        print(f"CHEB_K_fwd_bwd N={n_fixed:<6} K={order}  {times[order]:.4f}s")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "bench.csv"), rows)
+    if growth is None:
+        print("K-scaling: the increment ratio needs three orders")
+        return 0
+    print(f"CHEB_K_fwd_bwd K-scaling: increment ratio {_increment_ratio(times, ks):.2f} "
+          f"(1.0 is linear)")
+    print(f"CHEB_K_filter K-scaling: median increment ratio over {BENCH_TRIPLETS} "
+          f"triplets {growth:.2f} (1.0 is linear, limit {CHEB_GROWTH_LIMIT})")
+    if growth > CHEB_GROWTH_LIMIT:
+        print(f"error: CHEB_K filter time grows faster than linearly in K "
+              f"({growth:.2f} > {CHEB_GROWTH_LIMIT})", file=sys.stderr)
+        return 1
     return 0
 
 

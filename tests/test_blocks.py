@@ -35,6 +35,11 @@ def test_config_validation():
         BlockConfig(variant="NL", c_in=4, c_s=2, kernel="rbf")
     with pytest.raises(ConfigError):
         BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=1)
+    BlockConfig(variant="NL", c_in=np.int64(4), c_s=2)
+    for bad in [{"c_in": "4"}, {"c_s": True}, {"order": 2.5}, {"kernel": 5},
+                {"backprop_affinity": "no"}, {"backprop_affinity": 1}]:
+        with pytest.raises(ConfigError):
+            BlockConfig(**({"variant": "CHEB_K", "c_in": 4, "c_s": 2} | bad))
 
 
 def test_config_json_roundtrip_and_unknown_keys():
@@ -319,8 +324,9 @@ def test_cheb_k_high_order_finite_differences(order, backprop):
 
 def per_term_polynomial_backward(tape, cfg, params, g):
     """Reference for ``blocks._polynomial_backward``: each term pushes its
-    gradient through A^k on its own, with k products by A^T and k (V, V)
-    outer products, so K(K-1)/2 of each over a CHEB_K filter. On CGNL's
+    gradient through A^k on its own, with k products by A^T and k outer
+    products, so K(K-1)/2 of each over a CHEB_K filter. The outer products
+    are returned as their factors, concatenated: dL/dA = u v^T. On CGNL's
     flattened graph each power is read as an (N, C_s) map before W."""
     n = tape.x.shape[1]
     read = unread = lambda p: p
@@ -330,17 +336,19 @@ def per_term_polynomial_backward(tape, cfg, params, g):
     a_t = blocks._t(tape.a.values)
     per_sample = {}
     g_zn = np.zeros_like(tape.z_node)
-    g_a = None
+    us, vs = [], []
     for k, role, sign in blocks._variant_terms(cfg):
         contrib = sign * (blocks._t(read(tape.powers[k])) @ g)
         per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         for j in range(k):
-            if cfg.backprop_affinity:
-                g_aj = r @ blocks._t(tape.powers[k - 1 - j])
-                g_a = g_aj if g_a is None else np.add(g_a, g_aj, out=g_a)
+            us.append(r)
+            vs.append(tape.powers[k - 1 - j])
             r = a_t @ r
         g_zn += r
+    g_a = None
+    if cfg.backprop_affinity:
+        g_a = np.concatenate(us, axis=-1), np.concatenate(vs, axis=-1)
     return per_sample, g_zn, g_a
 
 
@@ -360,6 +368,88 @@ def test_backward_matches_per_term_reference(variant, kernel, backprop, h, w, or
     exact = variant != "CHEB_K" or order <= 2
     for got, ref in [(gx, want_gx)] + [(grads[name], want[name]) for name in want]:
         assert np.array_equal(got, ref) if exact else rel(got, ref) <= 1e-12
+
+
+# The symmetric recipes form M^T as the swapped product psi phi^T past
+# TILE_BYTES per sample, and dL/dA + (dL/dA)^T as one product of its factors.
+SYMMETRIC = ["SNL", "SNL_A1", "CHEB_K"]
+# criterion 3's adversarial input scales: unit, large, tiny, underflowing, zero
+INPUT_SCALES = [0.5, 10.0, 1e-8, 1e-150, 0.0]
+
+
+@pytest.mark.parametrize("b,n", [(8, 64), (1, 1024)])  # an N = 64 tile, one 32x32 sample
+@pytest.mark.parametrize("c_s", [1, 2, 3, 4])
+def test_swapped_product_is_the_transposed_product(b, n, c_s, monkeypatch):
+    monkeypatch.setattr(blocks, "TILE_BYTES", 0)
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=c_s)
+    rng = np.random.default_rng(30 + c_s)
+    params = blocks.random_params(cfg, rng)
+    for scale in INPUT_SCALES:
+        phi, psi, _ = blocks.embed(scale * rng.normal(size=(b, n, 4)), params)
+        assert np.array_equal(psi @ blocks._t(phi), blocks._t(phi @ blocks._t(psi))), scale
+        for kernel in graph.KERNELS:
+            got = blocks._symmetrized(graph.kernel_matrix(phi, psi, kernel), phi, psi, kernel)
+            want = graph.symmetrize(graph.compute_affinity(phi, psi, kernel))
+            assert got.symmetrized
+            assert np.array_equal(got.values, want.values), (scale, kernel)
+
+
+def symmetric_reference(phi, psi, kernel="exp_dot"):
+    return graph.normalize(graph.symmetrize(graph.compute_affinity(phi, psi, kernel)),
+                           "symmetric")
+
+
+@pytest.mark.parametrize("tile_bytes", [blocks.TILE_BYTES, 0])  # 0: swapped product at all sizes
+@pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8), (32, 32, 1)])
+@pytest.mark.parametrize("variant", SYMMETRIC)
+def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_bytes,
+                                                       monkeypatch):
+    monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
+    rng = np.random.default_rng(31)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
+    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    got = np.concatenate([t.a.values for t in tapes])
+    for k in range(b):
+        want = symmetric_reference(xs[k] @ params.w_phi, xs[k] @ params.w_psi)
+        assert np.array_equal(got[k], want.values)
+        single = blocks.build_block_affinity(FeatureMap(h, w, 4, xs[k]), cfg, params)
+        assert np.array_equal(single.values, want.values)
+        assert np.array_equal(single.values, single.values.T)
+
+
+def transposed_symmetric_backward(t, u, v):
+    """The symmetric normalization backward as it was before the one-product
+    form: dL/dA densely, its row and column sums, and a transposed add."""
+    g_a = u @ blocks._t(v)
+    a, d = t.a.values, t.a.degrees
+    s = 1.0 / np.sqrt(d)
+    ga_a = g_a * a
+    row = ga_a.sum(axis=-1)
+    col = ga_a.sum(axis=-2)
+    g_mhat = s[..., :, None] * s[..., None, :]
+    g_mhat *= g_a
+    g_mhat -= ((row + col) / (2.0 * d))[..., :, None]
+    return 0.5 * (g_mhat + blocks._t(g_mhat))
+
+
+@pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8)])
+@pytest.mark.parametrize("variant,order", [("SNL", 2), ("SNL_A1", 2), ("CHEB_K", 2),
+                                           ("CHEB_K", 3), ("CHEB_K", 5)])
+def test_symmetric_backward_matches_transposed_form(variant, order, h, w, b, monkeypatch):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=order)
+    rng = np.random.default_rng(32)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
+    gs = rng.normal(size=xs.shape)
+    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    monkeypatch.setattr(blocks, "_normalization_backward", transposed_symmetric_backward)
+    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
+    assert rel(gx, want_gx) <= 1e-12
+    for name, ref in want.items():
+        assert rel(grads[name], ref) <= 1e-12, name
 
 
 # Tape reuse: block_backward reads the tape block_forward held when the

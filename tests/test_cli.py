@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from snl import cli, linalg, verify
+from snl import blocks, cli, linalg, verify
 
 
 def test_verify_filter_no_match_is_usage_error(capsys):
@@ -92,6 +93,10 @@ def test_train_unknown_dataset_key(tmp_path):
     '{"lr": "x"}',
     '{"lr": NaN}',
     '{"block": 5}',
+    '{"block": {"variant": "SNL", "c_in": "4", "c_s": 2}}',
+    '{"block": {"variant": "CHEB_K", "c_in": 4, "c_s": 2, "order": 2.5}}',
+    '{"block": {"variant": "SNL", "c_in": 4, "c_s": 2, "backprop_affinity": "no"}}',
+    '{"block": {"variant": "SNL", "c_in": true, "c_s": 1}}',
 ])
 def test_train_bad_config_is_config_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -153,6 +158,18 @@ def test_bench_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == "variant,n,order,seconds"
     assert "K-scaling" in capsys.readouterr().out
+
+
+def test_bench_fails_a_filter_superlinear_in_k(tmp_path, capsys, monkeypatch):
+    # a filter that takes K^2 time: the increment ratio reads 2.0 > 1.5
+    monkeypatch.setattr(blocks, "generalized_forward",
+                        lambda a, z, weights: time.sleep(2e-4 * len(weights) ** 2))
+    code = cli.run(["bench", "--sizes", "16", "--orders", "2,4,8", "--out", str(tmp_path)])
+    assert code == 1
+    assert "grows faster than linearly" in capsys.readouterr().err
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines if line.startswith("CHEB_K_filter")] == [
+        ["CHEB_K_filter", "16", k] for k in ("2", "4", "8")]
 
 
 def test_usage_error_exit_code():
