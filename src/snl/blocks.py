@@ -105,8 +105,9 @@ def filter_roles(cfg: BlockConfig) -> list[str]:
     return list(dict.fromkeys(role for _, role, _ in _variant_terms(cfg)))
 
 
-def filter_shape(cfg: BlockConfig, role: str) -> tuple[int, int]:
-    # a filter on the raw input (node signal X) maps C1 -> C1
+def filter_shape(cfg: BlockConfig) -> tuple[int, int]:
+    """Shape of each of a variant's filter weight matrices: a filter on the
+    raw input (node signal X) maps C1 -> C1, any other C_s -> C1."""
     return (cfg.c_in if _RECIPES[cfg.variant].node == "x" else cfg.c_s, cfg.c_in)
 
 
@@ -140,8 +141,8 @@ def check_params(cfg: BlockConfig, params: BlockParams) -> None:
     roles = filter_roles(cfg)
     if sorted(params.filters) != sorted(roles):
         raise ConfigError(f"filter roles {sorted(params.filters)} != {sorted(roles)}")
+    want = filter_shape(cfg)
     for role in roles:
-        want = filter_shape(cfg, role)
         if params.filters[role].shape != want:
             raise ShapeError(f"{role} has shape {params.filters[role].shape}, want {want}")
 
@@ -154,15 +155,16 @@ def init_params(cfg: BlockConfig, rng: np.random.Generator) -> BlockParams:
     """
     bound = 1.0 / np.sqrt(cfg.c_in)
     proj = lambda: rng.uniform(-bound, bound, size=(cfg.c_in, cfg.c_s))
-    filters = {r: np.zeros(filter_shape(cfg, r)) for r in filter_roles(cfg)}
+    filters = {r: np.zeros(filter_shape(cfg)) for r in filter_roles(cfg)}
     return BlockParams(proj(), proj(), proj(), filters)
 
 
-def random_params(cfg: BlockConfig, rng: np.random.Generator, scale: float = 0.5) -> BlockParams:
-    """All parameter matrices drawn uniform; used by gradient checks."""
-    bound = scale / np.sqrt(cfg.c_in)
+def random_params(cfg: BlockConfig, rng: np.random.Generator) -> BlockParams:
+    """All parameter matrices drawn uniform in [-0.5/sqrt(C1), 0.5/sqrt(C1)];
+    used by gradient checks."""
+    bound = 0.5 / np.sqrt(cfg.c_in)
     draw = lambda shape: rng.uniform(-bound, bound, size=shape)
-    filters = {r: draw(filter_shape(cfg, r)) for r in filter_roles(cfg)}
+    filters = {r: draw(filter_shape(cfg)) for r in filter_roles(cfg)}
     return BlockParams(
         draw((cfg.c_in, cfg.c_s)),
         draw((cfg.c_in, cfg.c_s)),
@@ -355,9 +357,7 @@ def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str
 
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
     """F(A, Z) of a batch, and the powers A^k z_node it applied."""
-    f = params.filters  # a +1 sign keeps W itself, with no pass over it
-    terms = [(k, f[role] if sign == 1.0 else sign * f[role])
-             for k, role, sign in _variant_terms(cfg)]
+    terms = [(k, sign * params.filters[role]) for k, role, sign in _variant_terms(cfg)]
     return spectral._polynomial(a, z_node, terms, _reader(cfg, n_positions)[0])
 
 

@@ -139,6 +139,8 @@ def _cmd_train(args) -> int:
 
 def _grid_dims(n: int, height: int | None) -> tuple[int, int]:
     if height is not None:
+        if height < 1:
+            raise ConfigError(f"height must be at least 1, got {height}")
         if n % height != 0:
             raise ConfigError(f"height {height} does not divide N = {n}")
         return height, n // height
@@ -268,9 +270,20 @@ def _filter_scaling(n: int, ks: list[int], rng) -> tuple[dict, float | None]:
     return medians, float(np.median([_increment_ratio(t, ks) for t in runs]))
 
 
+def _counts(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of a flag, each at least 1."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise ConfigError(f"{flag} values must be at least 1, got {text!r}")
+    return values
+
+
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    orders = [int(k) for k in args.orders.split(",")]
+    sizes = _counts("--sizes", args.sizes)
+    orders = _counts("--orders", args.orders)
     rng = np.random.default_rng(0)
     rows = ["variant,n,order,seconds"]
     for variant in blocks.VARIANTS:

@@ -1,18 +1,26 @@
 """Finite-difference oracle for the analytic block gradients.
 
+Every probe is one forward on the batched core, ``block_forward_batch``,
+which checks its own input; a parameter probe swaps one array into a
+shallow copy of the parameters, which are validated once per check.
 ``finite_diff`` probes one entry at a time in a plain loop: each probe is
 two small block forwards, too short for threads to pay for their start-up
 and hand-off under the interpreter lock.
 """
 
+import copy
 from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from . import blocks
-from .blocks import BlockConfig, BlockParams
-from .errors import NumericError
+from .blocks import BlockConfig
+from .errors import ConfigError, NumericError
 from .graph import FeatureMap
+
+# central-difference step of every gradient check
+_EPS = 1e-5
 
 
 @dataclass
@@ -71,7 +79,6 @@ def check_block_gradients(
     cfg: BlockConfig,
     seed: int,
     tolerance: float = 1e-4,
-    eps: float = 1e-5,
     height: int = 3,
     width: int = 3,
 ) -> list[GradReport]:
@@ -82,59 +89,40 @@ def check_block_gradients(
     (backprop_affinity=False) the finite-difference loss holds A at its
     base-point value so both sides differentiate the same function. The
     relative error of each entry divides by at least ``error_floor`` of
-    the base-point loss.
+    the base-point loss. ``tolerance`` must be finite and positive.
     """
+    if not 0.0 < tolerance < np.inf:
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)
     n = height * width
     x = FeatureMap(height, width, cfg.c_in, rng.normal(0.0, 0.7, size=(n, cfg.c_in)))
     params = blocks.random_params(cfg, rng)
 
-    frozen_a = None
-    if not cfg.backprop_affinity:
-        frozen_a = blocks.build_block_affinity(x, cfg, params)
+    y, tapes = blocks.block_forward_batch(x.values[None], height, width, cfg, params)
+    frozen_a = None if cfg.backprop_affinity else tapes[0].a.values
 
-    def forward(x_values: np.ndarray, p: BlockParams) -> np.ndarray:
-        fm = FeatureMap(height, width, cfg.c_in, x_values)
-        if frozen_a is None:
-            return blocks.block_forward(fm, cfg, p).values
-        st = blocks._affinity_state(fm, cfg, p)
-        st.a = frozen_a
-        f = blocks._operator_forward(fm, cfg, p, st)
-        return x_values + f
+    def loss(name: str, value: np.ndarray) -> float:
+        """The loss with the input ("x") or one parameter set to ``value``."""
+        xv, p = x.values, copy.copy(params)  # shallow: no array is checked again
+        if name == "x":
+            xv = value
+        elif name in p.filters:
+            p.filters = {**p.filters, name: value}
+        else:
+            setattr(p, name, value)
+        out, ts = blocks.block_forward_batch(xv[None], height, width, cfg, p)
+        if frozen_a is not None:
+            out = xv + blocks._filter(cfg, p, frozen_a, ts[0].z_node, n)[0]
+        return float(np.sum(out[0] ** 2))
 
-    def loss(x_values: np.ndarray, p: BlockParams) -> float:
-        return float(np.sum(forward(x_values, p) ** 2))
-
-    y = forward(x.values, params)
-    grad_x, grad_params = blocks.block_backward(x, cfg, params, 2.0 * y)
-    floor = error_floor(float(np.sum(y**2)), eps, tolerance)
-
+    grad_x, grad_params = blocks.block_backward(x, cfg, params, 2.0 * y[0])
+    analytic = {"x": grad_x, **grad_params}
+    floor = error_floor(float(np.sum(y[0] ** 2)), _EPS, tolerance)
     reports = []
-
-    def add(name: str, analytic: np.ndarray, loss_fn) -> None:
-        numeric = finite_diff(loss_fn, _current[name], eps)
-        abs_err, rel_err = _rel_errors(analytic, numeric, floor)
-        reports.append(
-            GradReport(name, abs_err, rel_err, analytic.size, rel_err <= tolerance)
-        )
-
-    _current = {"x": x.values}
-    add("x", grad_x, lambda v: loss(v, params))
-
-    for name, mat in params.items():
-        _current[name] = mat
-
-        def loss_at(v, _name=name):
-            filters = dict(params.filters)
-            proj = {"w_phi": params.w_phi, "w_psi": params.w_psi, "w_z": params.w_z}
-            if _name in proj:
-                proj[_name] = v
-            else:
-                filters[_name] = v
-            p = BlockParams(proj["w_phi"], proj["w_psi"], proj["w_z"], filters)
-            return loss(x.values, p)
-
-        add(name, grad_params[name], loss_at)
+    for name, point in [("x", x.values), *params.items()]:
+        numeric = finite_diff(functools.partial(loss, name), point, _EPS)
+        abs_err, rel_err = _rel_errors(analytic[name], numeric, floor)
+        reports.append(GradReport(name, abs_err, rel_err, point.size, rel_err <= tolerance))
     return reports
 
 

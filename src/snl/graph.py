@@ -48,14 +48,6 @@ class FeatureMap:
     def n_positions(self) -> int:
         return self.height * self.width
 
-    def to_grid(self) -> np.ndarray:
-        return self.values.reshape(self.height, self.width, self.channels)
-
-    @classmethod
-    def from_grid(cls, grid: np.ndarray) -> "FeatureMap":
-        h, w, c = grid.shape
-        return cls(h, w, c, grid.reshape(h * w, c))
-
 
 @dataclass
 class AffinityMatrix:

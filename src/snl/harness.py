@@ -222,15 +222,15 @@ DIVERGENCE_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 EVAL_CHUNK = 32
 
 
-def evaluate(net: ToyNet, data: PairedPatchDataset, chunk: int = EVAL_CHUNK) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over the full dataset, ``chunk``
+def evaluate(net: ToyNet, data: PairedPatchDataset) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy over the full dataset, EVAL_CHUNK
     samples per forward pass."""
     values, labels = data.values, data.labels
     total_nll = 0.0
     correct = 0
     with np.errstate(**DIVERGENCE_ERRSTATE):
-        for start in range(0, len(labels), chunk):
-            sl = slice(start, start + chunk)
+        for start in range(0, len(labels), EVAL_CHUNK):
+            sl = slice(start, start + EVAL_CHUNK)
             state = _forward_batch(net, values[sl])
             loss, _ = _softmax_ce(state["logits"], labels[sl])
             total_nll += loss * len(labels[sl])

@@ -45,13 +45,18 @@ class FilterSpec:
             )
 
 
-def _check_orthonormal(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+# largest |U^T U - I| entry an eigenbasis may have
+_ORTHONORMAL_TOL = 1e-9
+
+
+def _check_orthonormal(u: np.ndarray) -> np.ndarray:
     u = linalg.as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"basis matrix is not square ({u.shape})")
     dev = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    if dev > tol:
-        raise PreconditionError(f"U^T U deviates from I by {dev:.3e} (> {tol:g})")
+    if dev > _ORTHONORMAL_TOL:
+        raise PreconditionError(
+            f"U^T U deviates from I by {dev:.3e} (> {_ORTHONORMAL_TOL:g})")
     return u
 
 

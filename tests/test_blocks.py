@@ -59,8 +59,8 @@ def test_filter_roles_and_shapes():
     assert blocks.filter_roles(BlockConfig(variant="SNL", c_in=4, c_s=2)) == ["w1", "w2"]
     cheb = BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=4)
     assert blocks.filter_roles(cheb) == ["w1", "w2", "w3", "w4"]
-    assert blocks.filter_shape(BlockConfig(variant="NL", c_in=4, c_s=2), "w") == (2, 4)
-    assert blocks.filter_shape(BlockConfig(variant="CC", c_in=4, c_s=2), "w") == (4, 4)
+    assert blocks.filter_shape(BlockConfig(variant="NL", c_in=4, c_s=2)) == (2, 4)
+    assert blocks.filter_shape(BlockConfig(variant="CC", c_in=4, c_s=2)) == (4, 4)
 
 
 def test_init_params_zero_filters_gives_identity_block():

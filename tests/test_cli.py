@@ -172,5 +172,27 @@ def test_bench_fails_a_filter_superlinear_in_k(tmp_path, capsys, monkeypatch):
         ["CHEB_K_filter", "16", k] for k in ("2", "4", "8")]
 
 
+@pytest.mark.parametrize("flags", [
+    ["export-attention", "--height", "0"],
+    ["export-attention", "--height", "-3"],
+    ["bench", "--sizes", "x"],
+    ["bench", "--sizes", "0"],
+    ["bench", "--sizes", "16", "--orders", "x"],
+    ["bench", "--sizes", "16", "--orders", "0"],
+])
+def test_bad_numeric_flag_is_config_error(tmp_path, capsys, flags):
+    # rejected before any work, with an error line rather than a traceback
+    feat, block = tmp_path / "feat.csv", tmp_path / "block.json"
+    linalg.save_csv(np.random.default_rng(3).normal(0.0, 0.3, size=(12, 4)), feat)
+    block.write_text(json.dumps({"variant": "SNL", "c_in": 4, "c_s": 2}))
+    if flags[0] == "export-attention":
+        flags = flags + ["--input", str(feat), "--block", str(block),
+                         "--positions", "0", "--out", str(tmp_path / "att")]
+    assert cli.run(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_usage_error_exit_code():
     assert cli.run(["not-a-command"]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from snl import blocks, cli, gradcheck
 from snl.blocks import BlockConfig
-from snl.errors import NumericError
+from snl.errors import ConfigError, NumericError
 
 
 def test_finite_diff_quadratic_exact():
@@ -90,3 +90,35 @@ def test_wrong_entry_still_fails(monkeypatch):
     monkeypatch.setattr(blocks, "block_backward", skewed)
     reports = gradcheck.check_block_gradients(cfg, seed=541)
     assert all(not r.passed for r in reports), [(r.parameter, r.passed) for r in reports]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tol, capsys):
+    # a zero or infinite tolerance would pass every gradient, a negative or
+    # nan one would fail every gradient
+    cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
+    with pytest.raises(ConfigError):
+        gradcheck.check_block_gradients(cfg, seed=0, tolerance=float(tol))
+    assert cli.run(["gradcheck", "--variant", "NL", "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("backprop", [False, True])
+def test_probes_run_on_the_batched_core(monkeypatch, backprop):
+    # each probe is one block_forward_batch call; the B=1 block_forward,
+    # which keys, copies and holds a tape per call, runs at most once per
+    # check, and no tape is held when the check returns
+    calls = {"block_forward": 0, "block_forward_batch": 0}
+    for name in calls:
+        honest = getattr(blocks, name)
+
+        def counted(*args, _name=name, _honest=honest):
+            calls[_name] += 1
+            return _honest(*args)
+
+        monkeypatch.setattr(blocks, name, counted)
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3, backprop_affinity=backprop)
+    reports = gradcheck.check_block_gradients(cfg, seed=0)
+    assert calls["block_forward_batch"] >= 2 * sum(r.checked_entries for r in reports)
+    assert calls["block_forward"] <= 1
+    assert blocks._held is None

@@ -185,7 +185,7 @@ def test_history_csv_rows():
 REFERENCE_LOSS = 0.6947283614664882
 
 
-def test_batched_training_reproduces_reference_loss():
+def test_batched_training_reproduces_reference_loss(monkeypatch):
     data = harness.gen_dataset(seed=0, n_samples=512, c=4, p=2, min_separation=5)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
     runs = []
@@ -195,8 +195,10 @@ def test_batched_training_reproduces_reference_loss():
         runs.append(hist)
     assert runs[0] == runs[1]  # bit-identical
     assert runs[0][-1]["loss"] == pytest.approx(REFERENCE_LOSS, rel=1e-9, abs=0.0)
-    small = harness.evaluate(net, data, chunk=32)
-    whole = harness.evaluate(net, data, chunk=512)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 32)
+    small = harness.evaluate(net, data)
+    monkeypatch.setattr(harness, "EVAL_CHUNK", 512)
+    whole = harness.evaluate(net, data)
     assert small == (runs[0][-1]["loss"], runs[0][-1]["accuracy"])
     assert small[0] == pytest.approx(whole[0], rel=1e-12, abs=0.0)
     assert small[1] == whole[1]
