@@ -7,6 +7,9 @@ kernel inputs, mask and polynomial terms; the forward and the backward read
 it and branch on no variant name. ``block_forward_batch`` takes a (B, N, C)
 stack and returns the output with a ``Tape`` of intermediates, which
 ``block_backward_batch`` reads, so the affinity is built once per pair.
+The core carries plain arrays: it validates the input stack and the
+upstream gradient where they enter and checks that the output is finite,
+and wraps an affinity in ``AffinityMatrix`` only in ``build_block_affinity``.
 ``block_forward`` and ``block_backward`` are B=1 calls on a ``FeatureMap``;
 ``block_forward`` holds its tape for a ``block_backward`` whose arguments
 match byte for byte. The forward and ``generalized_forward`` evaluate the
@@ -17,7 +20,7 @@ forward forms M^T as the swapped product psi phi^T, and the backward forms
 dL/dA + (dL/dA)^T as one product of the factors of dL/dA.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import json
 import os
 from typing import NamedTuple
@@ -268,33 +271,22 @@ def _reader(cfg: BlockConfig, n_positions: int):
 
 class Tape:
     """Intermediates of one tile of a batched forward pass, read by the
-    backward pass.
+    backward pass. All are plain arrays, checked where they enter the core.
 
     Arrays carry the tile's batch axis first: x (B, N, C_in); phi, psi, z
     (B, N, C_s); v the flattened (B, N*C_s, 1) signal (CGNL only); m the
     raw kernel (B, V, V) over the V graph vertices (V = N, or N*C_s for
-    CGNL); a the normalized affinity stack with its degrees; z_node the
-    signal the polynomial filters and powers[k] = A^k z_node. mask is the
-    (N, N) criss-cross mask all samples share (CC only).
+    CGNL); a the normalized affinity (B, V, V) and d its degrees (B, V),
+    None when the variant does not normalize; z_node the signal the
+    polynomial filters and powers[k] = A^k z_node. mask is the (N, N)
+    criss-cross mask all samples share (CC only).
     """
 
-    __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "a", "z_node", "powers")
+    __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "a", "d", "z_node", "powers")
 
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, None)
-
-    def sample(self, b: int) -> "Tape":
-        """Sample ``b``'s affinity-stage intermediates as 2-D arrays, its
-        affinity as an (N, N) AffinityMatrix."""
-        out = Tape()
-        for name in ("x", "phi", "psi", "z", "v", "m", "z_node"):
-            value = getattr(self, name)
-            setattr(out, name, None if value is None else value[b])
-        out.mask = self.mask
-        degrees = None if self.a.degrees is None else self.a.degrees[b]
-        out.a = replace(self.a, values=self.a.values[b], degrees=degrees)
-        return out
 
 
 def _check_stack(values, height: int, width: int) -> np.ndarray:
@@ -326,12 +318,15 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
     if recipe.normalization == "symmetric":  # no symmetric row masks
         raw = _symmetrized(t.m, left, right, cfg.kernel)
     else:
-        raw = AffinityMatrix(t.m if t.mask is None else t.mask * t.m)
-    t.a = raw if recipe.normalization == "none" else graph.normalize(raw, recipe.normalization)
+        raw = t.m if t.mask is None else t.mask * t.m
+    if recipe.normalization == "none":
+        t.a = raw
+    else:
+        t.a, t.d = graph._normalized(raw, recipe.normalization)
     return t
 
 
-def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str) -> AffinityMatrix:
+def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str) -> np.ndarray:
     """(M + M^T) / 2 of the kernel stack M = k(left, right), bit for bit
     what ``graph.symmetrize`` gives.
 
@@ -345,14 +340,15 @@ def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str
     transposed read is cheaper than a second exp.
     """
     if m[0].nbytes <= TILE_BYTES:
-        return graph.symmetrize(AffinityMatrix(m))
-    mt = right @ _t(left)
-    if kernel == "exp_dot":
-        mt /= np.sqrt(left.shape[-1])
-        np.exp(mt, out=mt)
-    mt += m
-    mt *= 0.5
-    return AffinityMatrix(mt, symmetrized=True)
+        out = m + _t(m)
+    else:
+        out = right @ _t(left)
+        if kernel == "exp_dot":
+            out /= np.sqrt(left.shape[-1])
+            np.exp(out, out=out)
+        out += m  # in place: a fresh sum was slower at N = 1024
+    out *= 0.5
+    return out
 
 
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
@@ -394,7 +390,7 @@ def block_forward_batch(
     tapes, fs = [], []
     for tile in _tiles(xv.shape[0], cfg, n):
         t = _build_affinity(xv[tile], height, width, cfg, params)
-        f, t.powers = _filter(cfg, params, t.a.values, t.z_node, n)
+        f, t.powers = _filter(cfg, params, t.a, t.z_node, n)
         tapes.append(t)
         fs.append(f)
     y = xv + np.concatenate(fs)
@@ -403,22 +399,12 @@ def block_forward_batch(
     return y, tapes
 
 
-def _affinity_state(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> Tape:
-    """One sample's affinity-stage tape as 2-D arrays (a B=1 call)."""
-    xv = _check_stack(x.values[None], x.height, x.width)
-    return _build_affinity(xv, x.height, x.width, cfg, params).sample(0)
-
-
-def _operator_forward(x: FeatureMap, cfg: BlockConfig, params: BlockParams, st: Tape) -> np.ndarray:
-    """F(A, Z) of one sample from its tape; ``st.a`` may be replaced."""
-    f, _ = _filter(cfg, params, st.a.values[None], st.z_node[None], x.n_positions)
-    return f[0]
-
-
 def build_block_affinity(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> AffinityMatrix:
     """The affinity matrix a variant aggregates with (see ``VARIANTS``)."""
     check_params(cfg, params)
-    return _affinity_state(x, cfg, params).a
+    t = _build_affinity(_check_stack(x.values[None], x.height, x.width), x.height, x.width,
+                        cfg, params)
+    return AffinityMatrix(t.a[0], _RECIPES[cfg.variant].normalization)
 
 
 def generalized_forward(
@@ -488,36 +474,36 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _normalization_backward(t: Tape, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient through degree normalization: dL/dA, given as its factors
-    u v^T, -> dL/dM (raw kernel).
+def _normalization_backward(t: Tape, mode: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gradient through the degree normalization ``mode``: dL/dA, given as
+    its factors u v^T, -> dL/dM (raw kernel).
 
     Works in place where it can, to keep the tile's working set small.
     """
-    a = t.a.values
-    if t.a.normalization == "symmetric":
+    a = t.a
+    if mode == "symmetric":
         # A = M_hat * s s^T, s = d^-1/2, d the row sums of M_hat = (M + M^T)/2.
         # With H = dL/dA + (dL/dA)^T, formed as one product [u v] [v u]^T so
         # that no (V, V) array is read transposed, and A symmetric, the row
         # and column sums of dL/dA * A add up to q = (H * A).sum(-1), and
         # dL/dM = (s s^T * H - q/(2d) along rows - the same along columns) / 2.
         h = np.concatenate((u, v), axis=-1) @ _t(np.concatenate((v, u), axis=-1))
-        s = 1.0 / np.sqrt(t.a.degrees)
+        s = 1.0 / np.sqrt(t.d)
         g_m = np.multiply(h, a)
-        r = g_m.sum(axis=-1) / (4.0 * t.a.degrees)  # the halving folded in
+        r = g_m.sum(axis=-1) / (4.0 * t.d)  # the halving folded in
         np.multiply((0.5 * s)[..., :, None], s[..., None, :], out=g_m)
         g_m *= h
         g_m -= r[..., :, None]
         g_m -= r[..., None, :]
         return g_m
     g_a = u @ _t(v)
-    if t.a.normalization == "none":
+    if mode == "none":
         return g_a
     # random walk: A_ij = M_ij / d_i with d_i the row sum (quotient rule)
     ga_a = g_a * a
     r = ga_a.sum(axis=-1)
     g_m = np.subtract(g_a, r[..., :, None], out=ga_a)
-    g_m /= t.a.degrees[..., :, None]
+    g_m /= t.d[..., :, None]
     if t.mask is not None:
         g_m *= t.mask
     return g_m
@@ -578,7 +564,7 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
         per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         g_p[k] = r if g_p[k] is None else g_p[k] + r
-    a_t = _t(tape.a.values)
+    a_t = _t(tape.a)
     for k in range(top, 0, -1):
         r = a_t @ g_p[k]
         g_p[k - 1] = r if g_p[k - 1] is None else g_p[k - 1] + r
@@ -599,7 +585,7 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
     per_sample, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
     grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
     if g_a_factors is not None:
-        g_s = _normalization_backward(tape, *g_a_factors)
+        g_s = _normalization_backward(tape, recipe.normalization, *g_a_factors)
         left, right = recipe.pair
         width = getattr(tape, left).shape[-1]
         if cfg.kernel == "exp_dot":

@@ -151,6 +151,13 @@ def _grid_dims(n: int, height: int | None) -> tuple[int, int]:
 
 
 def _cmd_export_attention(args) -> int:
+    try:
+        positions = [int(p) for p in args.positions.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigError(f"--positions must be comma-separated integers, "
+                          f"got {args.positions!r}") from None
+    if not positions:
+        raise ConfigError("no positions given")
     values = linalg.load_matrix(args.input)
     with open(args.block) as fh:
         cfg = BlockConfig.from_json(fh.read())
@@ -166,9 +173,6 @@ def _cmd_export_attention(args) -> int:
             f"variant {cfg.variant} attention rows are not positional "
             f"(graph has {affinity.values.shape[0]} vertices)"
         )
-    positions = [int(p) for p in args.positions.split(",") if p.strip()]
-    if not positions:
-        raise ConfigError("no positions given")
     os.makedirs(args.out, exist_ok=True)
     for pos in positions:
         if not 0 <= pos < n:
@@ -326,6 +330,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value; NumPy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snl",
@@ -341,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--variant", default=None, help="check a single variant")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="directory for gradcheck.csv")
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the toy network")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_train)
 
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", required=True, help="comma-separated cell indices")
     p.add_argument("--out", required=True)
     p.add_argument("--height", type=int, default=None, help="grid height (default: square)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_export_attention)
 
     p = sub.add_parser(

@@ -51,17 +51,16 @@ class FeatureMap:
 
 @dataclass
 class AffinityMatrix:
-    """Pairwise-similarity matrix with its normalization provenance.
+    """Pairwise-similarity matrix with its normalization, as the public
+    graph API passes it.
 
     ``values`` is one (N, N) matrix or a (B, N, N) stack of B graphs; the
-    functions below treat each graph of a stack alone. ``degrees`` is the
-    degree vector (N,) or (B, N) a normalization divided by.
+    functions below treat each graph of a stack alone. The constructor
+    validates ``values``; the block core carries plain arrays.
     """
 
     values: np.ndarray
     normalization: str = "none"
-    symmetrized: bool = False
-    degrees: np.ndarray | None = None
 
     def __post_init__(self):
         if np.ndim(self.values) == 3:
@@ -70,14 +69,6 @@ class AffinityMatrix:
             self.values = linalg.as_matrix(self.values)
         if self.normalization not in NORMALIZATIONS:
             raise PreconditionError(f"unknown normalization {self.normalization!r}")
-
-
-def _derived(m: AffinityMatrix, **changes) -> AffinityMatrix:
-    """``m`` with fields replaced, skipping re-validation: symmetrizing and
-    normalizing an affinity that passed its checks keep it finite."""
-    out = object.__new__(AffinityMatrix)
-    out.__dict__.update(m.__dict__, **changes)
-    return out
 
 
 def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
@@ -126,19 +117,19 @@ def symmetrize(m: AffinityMatrix) -> AffinityMatrix:
         raise PreconditionError("symmetrize expects an unnormalized affinity")
     values = v + v.swapaxes(-1, -2)
     values *= 0.5
-    return _derived(m, values=values, symmetrized=True)
+    return AffinityMatrix(values)
 
 
-def degrees(m: AffinityMatrix) -> np.ndarray:
-    """Row-sum degree vector; validates the normalization domain."""
-    v = m.values
-    _check_square(v, "normalize")
-    if v.min() < 0.0:
+def degrees(values: np.ndarray) -> np.ndarray:
+    """Row-sum degree vector of an affinity array; validates the
+    normalization domain."""
+    _check_square(values, "normalize")
+    if values.min() < 0.0:
         raise KernelDomainError(
             "affinity has negative entries; degree normalization needs a "
             "nonnegative kernel (use exp_dot)"
         )
-    d = v.sum(axis=-1)
+    d = values.sum(axis=-1)
     if d.min() <= 1e-12:
         raise DegenerateVertexError(
             f"vertex degree {float(d.min()):.3g} is not strictly positive"
@@ -146,25 +137,31 @@ def degrees(m: AffinityMatrix) -> np.ndarray:
     return d
 
 
+def _normalized(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Degree normalization of an affinity array (or stack) and the degree
+    vector D it divided by; ``mode`` is random_walk or symmetric."""
+    d = degrees(values)
+    if mode == "random_walk":
+        return values / d[..., :, None], d
+    s = 1.0 / np.sqrt(d)
+    out = s[..., :, None] * s[..., None, :]
+    out *= values
+    return out, d
+
+
 def normalize(m: AffinityMatrix, mode: str) -> AffinityMatrix:
     """Degree-normalize an affinity matrix.
 
     random_walk: D^-1 M (rows sum to 1). symmetric: D^-1/2 M_hat D^-1/2
-    of a symmetrized input; the result is exactly symmetric with spectrum
-    inside [-1, 1]. The result keeps the degree vector D in ``degrees``.
+    of an exactly symmetric input, such as ``symmetrize`` gives; the
+    result is exactly symmetric with spectrum inside [-1, 1].
     """
-    if mode == "symmetric" and not m.symmetrized:
+    v = m.values
+    if mode == "symmetric" and not np.array_equal(v, v.swapaxes(-1, -2)):
         raise PreconditionError("symmetric normalization requires symmetrize()")
     if mode not in ("random_walk", "symmetric"):
         raise PreconditionError(f"unknown normalization mode {mode!r}")
-    d = degrees(m)
-    if mode == "random_walk":
-        values = m.values / d[..., :, None]
-    else:
-        s = 1.0 / np.sqrt(d)
-        values = s[..., :, None] * s[..., None, :]
-        values *= m.values
-    return _derived(m, values=values, normalization=mode, degrees=d)
+    return AffinityMatrix(_normalized(v, mode)[0], mode)
 
 
 def crisscross_mask(h: int, w: int) -> np.ndarray:

@@ -236,16 +236,16 @@ def check_tied_weight_identities():
     for _ in range(3):
         cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
         x, params = _random_block_inputs(rng, cfg)
-        st = blocks._affinity_state(x, cfg, params)
+        _, (t,) = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
         w = params.filters["w"]
-        nl = blocks._operator_forward(x, cfg, params, st)
-        cheb = blocks.generalized_forward(st.a.values, st.z, [np.zeros_like(w), w])
+        nl = blocks._filter(cfg, params, t.a, t.z_node, x.n_positions)[0][0]
+        cheb = blocks.generalized_forward(t.a[0], t.z[0], [np.zeros_like(w), w])
         if not np.array_equal(nl, cheb):
             worst = max(worst, linalg.rel_error(nl, cheb))
         cfg_ns = BlockConfig(variant="NS", c_in=4, c_s=2)
         params.filters = {"w": w}
-        ns = blocks._operator_forward(x, cfg_ns, params, st)
-        cheb_ns = blocks.generalized_forward(st.a.values, st.z, [-w, w])
+        ns = blocks._filter(cfg_ns, params, t.a, t.z_node, x.n_positions)[0][0]
+        cheb_ns = blocks.generalized_forward(t.a[0], t.z[0], [-w, w])
         if not np.array_equal(ns, cheb_ns):
             worst = max(worst, linalg.rel_error(ns, cheb_ns))
     return worst <= 1e-12, f"max tied-weight rel error {worst:.3e}"

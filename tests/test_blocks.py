@@ -25,6 +25,17 @@ def make_input(rng, h=3, w=3, c=4, positive=False):
     return FeatureMap(h, w, c, vals)
 
 
+def one_sample_tape(x, cfg, params):
+    """The tape of a batched forward on the one-sample stack of ``x``."""
+    _, (tape,) = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
+    return tape
+
+
+def tape_filter(cfg, params, tape):
+    """F(A, Z) of a one-sample tape's affinity and node signal."""
+    return blocks._filter(cfg, params, tape.a, tape.z_node, tape.x.shape[1])[0][0]
+
+
 def test_config_validation():
     BlockConfig(variant="NL", c_in=4, c_s=2)
     with pytest.raises(ConfigError):
@@ -114,14 +125,14 @@ def test_unification_against_generic_polynomial():
         for variant in ("NL", "NS", "A2", "CC"):
             cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
             params = blocks.random_params(cfg, np.random.default_rng(seed + 100))
-            st = blocks._affinity_state(x, cfg, params)
+            t = one_sample_tape(x, cfg, params)
             w = params.filters["w"]
             if variant == "NS":
                 weights = [-w, w]
             else:
                 weights = [np.zeros_like(w), w]
-            want = blocks.generalized_forward(st.a.values, st.z_node, weights)
-            got = blocks._operator_forward(x, cfg, params, st)
+            want = blocks.generalized_forward(t.a[0], t.z_node[0], weights)
+            got = tape_filter(cfg, params, t)
             assert np.array_equal(got, want) or linalg.rel_error(got, want) <= 1e-12
 
 
@@ -131,11 +142,11 @@ def test_unification_cgnl_flattened_graph():
         x = make_input(rng, positive=True)
         cfg = BlockConfig(variant="CGNL", c_in=4, c_s=2)
         params = blocks.random_params(cfg, np.random.default_rng(seed + 200))
-        st = blocks._affinity_state(x, cfg, params)
+        t = one_sample_tape(x, cfg, params)
         weights = [np.zeros((1, 1)), np.ones((1, 1))]
-        fv = blocks.generalized_forward(st.a.values, st.v, weights)
+        fv = blocks.generalized_forward(t.a[0], t.v[0], weights)
         want = graph.unflatten_spatial_channel(fv, x.n_positions, cfg.c_s) @ params.filters["w"]
-        got = blocks._operator_forward(x, cfg, params, st)
+        got = tape_filter(cfg, params, t)
         assert np.array_equal(got, want) or linalg.rel_error(got, want) <= 1e-12
 
 
@@ -152,14 +163,14 @@ def test_tied_weight_identities():
         # NS(W) == CHEB_K(K=2, W1=-W, W2=W) on the same affinity
         ns_cfg = BlockConfig(variant="NS", c_in=4, c_s=2)
         ns_out = blocks.block_forward(x, ns_cfg, nl_params).values
-        st = blocks._affinity_state(x, ns_cfg, nl_params)
-        cheb_ns = x.values + blocks.generalized_forward(st.a.values, st.z, [-w, w])
+        t = one_sample_tape(x, ns_cfg, nl_params)
+        cheb_ns = x.values + blocks.generalized_forward(t.a[0], t.z[0], [-w, w])
         assert linalg.rel_error(ns_out, cheb_ns) <= 1e-12
 
         # NL(W) == CHEB_K(K=2, W1=0) on the same affinity
         nl_out = blocks.block_forward(x, nl_cfg, nl_params).values
-        st = blocks._affinity_state(x, nl_cfg, nl_params)
-        cheb_nl = x.values + blocks.generalized_forward(st.a.values, st.z, [np.zeros_like(w), w])
+        t = one_sample_tape(x, nl_cfg, nl_params)
+        cheb_nl = x.values + blocks.generalized_forward(t.a[0], t.z[0], [np.zeros_like(w), w])
         assert linalg.rel_error(nl_out, cheb_nl) <= 1e-12
 
 
@@ -280,7 +291,7 @@ def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
     the loss holds each sample's A at its base-point value, as the
     backward does."""
     _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    frozen = None if cfg.backprop_affinity else np.concatenate([t.a.values for t in tapes])
+    frozen = None if cfg.backprop_affinity else np.concatenate([t.a for t in tapes])
 
     def loss(v, p):
         y, ts = blocks.block_forward_batch(v, h, w, cfg, p)
@@ -333,7 +344,7 @@ def per_term_polynomial_backward(tape, cfg, params, g):
     if tape.v is not None:
         read = lambda p: graph.unflatten_spatial_channel(p, n, cfg.c_s)
         unread = graph.flatten_spatial_channel
-    a_t = blocks._t(tape.a.values)
+    a_t = blocks._t(tape.a)
     per_sample = {}
     g_zn = np.zeros_like(tape.z_node)
     us, vs = [], []
@@ -390,8 +401,7 @@ def test_swapped_product_is_the_transposed_product(b, n, c_s, monkeypatch):
         for kernel in graph.KERNELS:
             got = blocks._symmetrized(graph.kernel_matrix(phi, psi, kernel), phi, psi, kernel)
             want = graph.symmetrize(graph.compute_affinity(phi, psi, kernel))
-            assert got.symmetrized
-            assert np.array_equal(got.values, want.values), (scale, kernel)
+            assert np.array_equal(got, want.values), (scale, kernel)
 
 
 def symmetric_reference(phi, psi, kernel="exp_dot"):
@@ -410,7 +420,7 @@ def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_by
     params = blocks.random_params(cfg, rng)
     xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
     _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    got = np.concatenate([t.a.values for t in tapes])
+    got = np.concatenate([t.a for t in tapes])
     for k in range(b):
         want = symmetric_reference(xs[k] @ params.w_phi, xs[k] @ params.w_psi)
         assert np.array_equal(got[k], want.values)
@@ -419,11 +429,12 @@ def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_by
         assert np.array_equal(single.values, single.values.T)
 
 
-def transposed_symmetric_backward(t, u, v):
+def transposed_symmetric_backward(t, mode, u, v):
     """The symmetric normalization backward as it was before the one-product
     form: dL/dA densely, its row and column sums, and a transposed add."""
+    assert mode == "symmetric"
     g_a = u @ blocks._t(v)
-    a, d = t.a.values, t.a.degrees
+    a, d = t.a, t.d
     s = 1.0 / np.sqrt(d)
     ga_a = g_a * a
     row = ga_a.sum(axis=-1)
@@ -584,3 +595,39 @@ def test_batch_raises_what_a_bad_sample_raises_alone():
     upstream[1, 0, 0] = np.inf
     with pytest.raises(NumericError):
         blocks.block_backward_batch(tapes, snl, p_snl, upstream)
+
+
+@pytest.mark.parametrize("variant", blocks.VARIANTS)
+def test_core_validates_at_its_boundary(variant, monkeypatch):
+    # one finiteness pass over the input stack forward and one over the
+    # upstream gradient backward, however many tiles; no internal product
+    # is validated again
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
+    rng = np.random.default_rng(41)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(32, 64, 4))
+    calls = {"as_stack": 0, "as_matrix": 0}
+    for name in calls:
+        def counted(values, name=name, real=getattr(linalg, name)):
+            calls[name] += 1
+            return real(values)
+        monkeypatch.setattr(linalg, name, counted)
+    _, tapes = blocks.block_forward_batch(xs, 8, 8, cfg, params)
+    assert len(tapes) > 1
+    assert calls == {"as_stack": 1, "as_matrix": 0}
+    blocks.block_backward_batch(tapes, cfg, params, rng.normal(size=xs.shape))
+    assert calls == {"as_stack": 2, "as_matrix": 0}
+
+
+@pytest.mark.parametrize("variant", ["A2", "NL", "SNL"])
+def test_dot_kernel_overflow_is_a_numeric_error(variant):
+    # phi psi^T overflows to inf at this scale; nonnegative features keep
+    # the dot kernel inside the normalization domain, so the typed error
+    # comes from the non-finite affinity, not from a negative entry
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, kernel="dot")
+    rng = np.random.default_rng(42)
+    params = blocks.random_params(cfg, rng)
+    params.w_phi, params.w_psi = np.abs(params.w_phi), np.abs(params.w_psi)
+    xs = 1e170 * (np.abs(rng.normal(0.0, 0.5, size=(3, 9, 4))) + 0.1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        blocks.block_forward_batch(xs, 3, 3, cfg, params)

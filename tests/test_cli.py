@@ -194,5 +194,27 @@ def test_bad_numeric_flag_is_config_error(tmp_path, capsys, flags):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["export-attention", "--positions", "a"],
+    ["export-attention", "--positions", "0", "--seed", "-1"],
+    ["gradcheck", "--variant", "NL", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+])
+def test_bad_position_or_seed_is_usage_error(tmp_path, capsys, flags):
+    # an error line and exit 2 rather than a ValueError traceback
+    feat, block, cfg = tmp_path / "feat.csv", tmp_path / "block.json", tmp_path / "cfg.json"
+    linalg.save_csv(np.random.default_rng(4).normal(0.0, 0.3, size=(16, 4)), feat)
+    block.write_text(json.dumps({"variant": "SNL", "c_in": 4, "c_s": 2}))
+    cfg.write_text(json.dumps({"steps": 2, "eval_every": 2, "dataset": {"n_samples": 8}}))
+    if flags[0] == "export-attention":
+        flags = flags + ["--input", str(feat), "--block", str(block), "--out", str(tmp_path / "att")]
+    if flags[0] == "train":
+        flags = flags + ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert cli.run(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
 def test_usage_error_exit_code():
     assert cli.run(["not-a-command"]) == 2

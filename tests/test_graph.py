@@ -55,7 +55,6 @@ def test_symmetrize_bit_exact():
     m = rand_affinity(rng, 7)
     sym = graph.symmetrize(m)
     assert np.array_equal(sym.values, sym.values.T)
-    assert sym.symmetrized
 
 
 def test_symmetrize_rejects_normalized():
@@ -66,15 +65,13 @@ def test_symmetrize_rejects_normalized():
 
 
 def test_degrees_negative_kernel():
-    m = AffinityMatrix(np.array([[1.0, -0.5], [0.2, 1.0]]))
     with pytest.raises(KernelDomainError):
-        graph.degrees(m)
+        graph.degrees(np.array([[1.0, -0.5], [0.2, 1.0]]))
 
 
 def test_degrees_degenerate_vertex():
-    m = AffinityMatrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(DegenerateVertexError):
-        graph.degrees(m)
+        graph.degrees(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_random_walk_rows_sum_to_one():
@@ -94,6 +91,20 @@ def test_symmetric_normalization_requires_symmetrize():
     rng = np.random.default_rng(7)
     with pytest.raises(PreconditionError):
         graph.normalize(rand_affinity(rng, 5), "symmetric")
+
+
+def test_symmetric_normalization_judges_the_data():
+    # an exactly symmetric matrix is accepted however it was built, and an
+    # asymmetric one is rejected
+    rng = np.random.default_rng(9)
+    sym = graph.symmetrize(rand_affinity(rng, 6)).values
+    a = graph.normalize(AffinityMatrix(sym), "symmetric")
+    assert a.normalization == "symmetric"
+    assert np.array_equal(a.values, a.values.T)
+    asym = sym.copy()
+    asym[0, 1] += 0.25
+    with pytest.raises(PreconditionError):
+        graph.normalize(AffinityMatrix(asym), "symmetric")
 
 
 def test_symmetric_spectrum_in_unit_interval():
