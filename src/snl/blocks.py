@@ -16,8 +16,8 @@ match byte for byte. The forward and ``generalized_forward`` evaluate the
 polynomial with ``spectral._polynomial``, one product with A per power;
 the backward takes one product with A^T per power: both are linear in K.
 The symmetric recipes read no (V, V) array transposed past a tile: the
-forward forms M^T as the swapped product psi phi^T, and the backward forms
-dL/dA + (dL/dA)^T as one product of the factors of dL/dA.
+forward forms M^T as the swapped product psi phi^T. The backward forms the
+kernel's gradient as one product of thin factors (``_affinity_backward``).
 """
 
 from dataclasses import dataclass, field
@@ -276,10 +276,10 @@ class Tape:
     Arrays carry the tile's batch axis first: x (B, N, C_in); phi, psi, z
     (B, N, C_s); v the flattened (B, N*C_s, 1) signal (CGNL only); m the
     raw kernel (B, V, V) over the V graph vertices (V = N, or N*C_s for
-    CGNL); a the normalized affinity (B, V, V) and d its degrees (B, V),
-    None when the variant does not normalize; z_node the signal the
-    polynomial filters and powers[k] = A^k z_node. mask is the (N, N)
-    criss-cross mask all samples share (CC only).
+    CGNL), kept by the symmetric recipes only; a the normalized affinity
+    (B, V, V) and d its degrees (B, V), None when the variant does not
+    normalize; z_node the signal the polynomial filters and powers[k] =
+    A^k z_node. mask is the read-only bool criss-cross mask (CC only).
     """
 
     __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "a", "d", "z_node", "powers")
@@ -311,14 +311,14 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
         _vertices(cfg, height * width)  # raises past the vertex cap
         t.v = graph.flatten_spatial_channel(t.z)
     left, right = (getattr(t, name) for name in recipe.pair)
-    t.m = graph.kernel_matrix(left, right, cfg.kernel)
+    raw = graph.kernel_matrix(left, right, cfg.kernel)
     t.z_node = getattr(t, recipe.node)
-    if recipe.mask:
-        t.mask = graph.crisscross_mask(height, width)
     if recipe.normalization == "symmetric":  # no symmetric row masks
-        raw = _symmetrized(t.m, left, right, cfg.kernel)
-    else:
-        raw = t.m if t.mask is None else t.mask * t.m
+        t.m = raw
+        raw = _symmetrized(raw, left, right, cfg.kernel)
+    elif recipe.mask:
+        t.mask = graph._crisscross(height, width)
+        raw *= t.mask
     if recipe.normalization == "none":
         t.a = raw
     else:
@@ -331,7 +331,8 @@ def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str
     what ``graph.symmetrize`` gives.
 
     Past TILE_BYTES per sample, M^T is formed as the swapped product
-    right left^T, scaled and exponentiated like M, so no (V, V) array is
+    right left^T, with left prescaled and the result exponentiated as
+    ``graph.kernel_matrix`` forms M, so no (V, V) array is
     read transposed: at N = 1024 that read walks an 8 KiB row stride, one
     cache set per column, and took 15-19 ms against 1-3 ms for a
     contiguous add. BLAS returns each entry of the swapped product bit for
@@ -342,9 +343,10 @@ def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str
     if m[0].nbytes <= TILE_BYTES:
         out = m + _t(m)
     else:
+        if kernel == "exp_dot":
+            left = left / np.sqrt(left.shape[-1])
         out = right @ _t(left)
         if kernel == "exp_dot":
-            out /= np.sqrt(left.shape[-1])
             np.exp(out, out=out)
         out += m  # in place: a fresh sum was slower at N = 1024
     out *= 0.5
@@ -474,39 +476,40 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _normalization_backward(t: Tape, mode: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient through the degree normalization ``mode``: dL/dA, given as
-    its factors u v^T, -> dL/dM (raw kernel).
-
-    Works in place where it can, to keep the tile's working set small.
-    """
-    a = t.a
-    if mode == "symmetric":
-        # A = M_hat * s s^T, s = d^-1/2, d the row sums of M_hat = (M + M^T)/2.
-        # With H = dL/dA + (dL/dA)^T, formed as one product [u v] [v u]^T so
-        # that no (V, V) array is read transposed, and A symmetric, the row
-        # and column sums of dL/dA * A add up to q = (H * A).sum(-1), and
-        # dL/dM = (s s^T * H - q/(2d) along rows - the same along columns) / 2.
-        h = np.concatenate((u, v), axis=-1) @ _t(np.concatenate((v, u), axis=-1))
-        s = 1.0 / np.sqrt(t.d)
-        g_m = np.multiply(h, a)
-        r = g_m.sum(axis=-1) / (4.0 * t.d)  # the halving folded in
-        np.multiply((0.5 * s)[..., :, None], s[..., None, :], out=g_m)
-        g_m *= h
-        g_m -= r[..., :, None]
-        g_m -= r[..., None, :]
-        return g_m
-    g_a = u @ _t(v)
-    if mode == "none":
-        return g_a
-    # random walk: A_ij = M_ij / d_i with d_i the row sum (quotient rule)
-    ga_a = g_a * a
-    r = ga_a.sum(axis=-1)
-    g_m = np.subtract(g_a, r[..., :, None], out=ga_a)
-    g_m /= t.d[..., :, None]
-    if t.mask is not None:
-        g_m *= t.mask
-    return g_m
+def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v) -> np.ndarray:
+    """dL/dS of the kernel's Gram matrix S = left right^T, given dL/dA = G
+    as its factors u v^T: one product of stacked thin factors, then at most
+    one in-place product with a kept (V, V) array. exp_dot: M = exp(c S),
+    c = 1/sqrt(width), so dM/dS = c M, and A already carries the mask, 1/d
+    and M of a random walk or of none; symmetric reads M from the tape."""
+    d = None if t.d is None else t.d[..., None]
+    ones = np.ones_like(u[..., :1])
+    if recipe.normalization == "symmetric":
+        # A = s s^T * (M + M^T)/2 with s = d^-1/2. With H = G + G^T and A
+        # symmetric, q = rowsum(H * A) = rowsum(u * A v + v * A u), and
+        # dL/dM = (s s^T * H)/2 - rho 1^T - 1 rho^T with rho = q/(4d).
+        av, au = np.split(t.a @ np.concatenate((v, u), axis=-1), 2, axis=-1)
+        rho = np.sum(u * av + v * au, axis=-1, keepdims=True) / (4.0 * d)
+        s = 1.0 / np.sqrt(d)
+        left, right = [0.5 * s * u, 0.5 * s * v, rho, ones], [s * v, s * u, -ones, -rho]
+        kept = t.m
+    elif recipe.normalization == "random_walk":
+        # A = D^-1 M: dL/dM = (G - r 1^T) / d with r = rowsum(G * A) = rowsum(u * A v)
+        r = np.sum(u * (t.a @ v), axis=-1, keepdims=True)
+        left, right, kept = [u, -r], [v, ones], t.a
+    else:
+        left, right, kept = [u], [v], t.a
+    left = np.concatenate(left, axis=-1)
+    if kernel == "exp_dot":
+        left *= 1.0 / np.sqrt(getattr(t, recipe.pair[0]).shape[-1])
+    else:  # dM/dS = 1: of A only the mask and, for a random walk, 1/d remain
+        kept = t.mask
+        if recipe.normalization == "random_walk":
+            left /= d
+    g_s = left @ _t(np.concatenate(right, axis=-1))
+    if kept is not None:
+        g_s *= kept
+    return g_s
 
 
 def block_backward_batch(
@@ -585,13 +588,8 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
     per_sample, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
     grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
     if g_a_factors is not None:
-        g_s = _normalization_backward(tape, recipe.normalization, *g_a_factors)
+        g_s = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
         left, right = recipe.pair
-        width = getattr(tape, left).shape[-1]
-        if cfg.kernel == "exp_dot":
-            g_s *= tape.m
-            if width > 1:  # M = exp(left right^T / sqrt(width))
-                g_s /= np.sqrt(width)
         _add(grads, left, g_s @ getattr(tape, right))
         _add(grads, right, _t(g_s) @ getattr(tape, left))
     if "v" in grads:  # v = vec(z)

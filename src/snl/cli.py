@@ -186,26 +186,26 @@ def _cmd_export_attention(args) -> int:
 BENCH_REPEATS = 5
 
 
-def _median_seconds(fn) -> float:
-    """Median wall time of BENCH_REPEATS calls after one warm-up call."""
+def _seconds(fn) -> list[float]:
+    """Wall times of BENCH_REPEATS calls after one warm-up call."""
     fn()
     times = []
     for _ in range(BENCH_REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return times
 
 
-def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -> float:
-    """Median seconds of one block_forward, or of a block_forward plus the
+def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -> list[float]:
+    """Seconds of one block_forward, or of a block_forward plus the
     block_backward that reads its tape."""
     c_in, c_s = 8, 4
     cfg = BlockConfig(variant=variant, c_in=c_in, c_s=c_s, order=order)
     try:
         blocks._vertices(cfg, n)
     except PreconditionError:  # a graph past its vertex cap is not timed
-        return float("nan")
+        return [float("nan")]
     height, width = _grid_dims(n, None)
     x = FeatureMap(height, width, c_in, rng.normal(0, 0.2, size=(n, c_in)))
     params = blocks.random_params(cfg, rng)
@@ -215,16 +215,16 @@ def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -
         if backward:
             blocks.block_backward(x, cfg, params, y.values)
 
-    return _median_seconds(call)
+    return _seconds(call)
 
 
-def _bench_train_step() -> float:
+def _bench_train_step() -> list[float]:
     """One SGD step of the toy net with an SNL block: B=32, N=64, c_s=2."""
     data = harness.gen_dataset(seed=0, n_samples=32, c=4)
     net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
     velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
     # lr 0 keeps the weights, so every repeat does the same work
-    return _median_seconds(
+    return _seconds(
         lambda: harness._sgd_step(net, velocity, data.values, data.labels, 0.0, step=1)
     )
 
@@ -246,10 +246,10 @@ def _increment_ratio(times: dict, ks: list[int]) -> float:
 
 
 def _filter_scaling(n: int, ks: list[int], rng) -> tuple[dict, float | None]:
-    """Median seconds of ``generalized_forward`` alone per order on an
-    N-vertex symmetric affinity, and the median increment ratio over
-    back-to-back triplets (None with fewer than three orders): a slow
-    spell of the host cancels out of each triplet's ratio."""
+    """Seconds of ``generalized_forward`` alone per order on an N-vertex
+    symmetric affinity, one per back-to-back triplet, and the median
+    increment ratio over the triplets (None with fewer than three orders):
+    a slow spell of the host cancels out of each triplet's ratio."""
     cfg = BlockConfig(variant="CHEB_K", c_in=8, c_s=4, order=ks[-1])
     height, width = _grid_dims(n, None)
     x = FeatureMap(height, width, 8, rng.normal(0, 0.2, size=(n, 8)))
@@ -268,10 +268,10 @@ def _filter_scaling(n: int, ks: list[int], rng) -> tuple[dict, float | None]:
 
     triplet()  # warm-up
     runs = [triplet() for _ in range(BENCH_TRIPLETS)]
-    medians = {k: float(np.median([t[k] for t in runs])) for k in ks}
+    per_order = {k: [t[k] for t in runs] for k in ks}
     if len(ks) < 3:
-        return medians, None
-    return medians, float(np.median([_increment_ratio(t, ks) for t in runs]))
+        return per_order, None
+    return per_order, float(np.median([_increment_ratio(t, ks) for t in runs]))
 
 
 def _counts(flag: str, text: str) -> list[int]:
@@ -290,29 +290,35 @@ def _cmd_bench(args) -> int:
     orders = _counts("--orders", args.orders)
     rng = np.random.default_rng(0)
     rows = ["variant,n,order,seconds"]
+
+    def record(label, n, order, times, what) -> float:
+        q1, t, q3 = np.percentile(times, [25, 50, 75])
+        rows.append(f"{label},{n},{order},{t:.6f}")
+        print(f"{label:<14} N={n:<6} {what}  {t:.4f}s  IQR {q3 - q1:.4f}s")
+        return t
+
     for variant in blocks.VARIANTS:
         for n in sizes:
             order = 2 if variant != "CHEB_K" else orders[0]
-            t = _bench_once(variant, n, order, rng)
-            rows.append(f"{variant},{n},{order},{t:.6f}")
-            print(f"{variant:<8} N={n:<6} K={order}  {t:.4f}s")
-    t = _bench_train_step()
-    rows.append(f"train_step,{harness.GRID * harness.GRID},2,{t:.6f}")
-    print(f"train_step N={harness.GRID * harness.GRID:<6} B=32  {t:.4f}s")
+            record(variant, n, order, _bench_once(variant, n, order, rng), f"K={order}")
+    record("train_step", harness.GRID * harness.GRID, 2, _bench_train_step(), "B=32")
+    # at the largest N, each variant's forward + backward; CHEB_K's come
+    # per order below
+    n_fixed = max(sizes)
+    for variant in blocks.VARIANTS:
+        if variant != "CHEB_K":
+            record(f"{variant}_fwd_bwd", n_fixed, 2,
+                   _bench_once(variant, n_fixed, 2, rng, backward=True), "K=2")
     # cost growth in K at the largest N guards against materializing A^k:
     # the filter alone, which the gate reads, and the block forward +
     # backward, where the other stages hide most of the filter's growth
-    n_fixed = max(sizes)
     ks = sorted(set(orders))
     filter_times, growth = _filter_scaling(n_fixed, ks, rng)
     for order in ks:
-        rows.append(f"CHEB_K_filter,{n_fixed},{order},{filter_times[order]:.6f}")
-        print(f"CHEB_K_filter N={n_fixed:<6} K={order}  {filter_times[order]:.4f}s")
-    times = {}
-    for order in ks:
-        times[order] = _bench_once("CHEB_K", n_fixed, order, rng, backward=True)
-        rows.append(f"CHEB_K_fwd_bwd,{n_fixed},{order},{times[order]:.6f}")
-        print(f"CHEB_K_fwd_bwd N={n_fixed:<6} K={order}  {times[order]:.4f}s")
+        record("CHEB_K_filter", n_fixed, order, filter_times[order], f"K={order}")
+    times = {order: record("CHEB_K_fwd_bwd", n_fixed, order,
+                           _bench_once("CHEB_K", n_fixed, order, rng, backward=True), f"K={order}")
+             for order in ks}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "bench.csv"), rows)
@@ -372,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_export_attention)
 
     p = sub.add_parser(
-        "bench", help="time block_forward per variant and one SNL training step"
+        "bench", help="time block_forward and its backward per variant and one SNL "
+                      "training step"
     )
     p.add_argument("--sizes", default="64,256,1024")
     p.add_argument("--orders", default="2,4,8")

@@ -189,13 +189,15 @@ def check_filter_automorphism():
 
 
 def _table1_forward(cfg: BlockConfig, x: FeatureMap, params) -> np.ndarray:
-    """Y = X + F(A, Z) of an exp_dot block as Table 1 of Zhu et al.,
-    "Unifying Nonlocal Blocks for Neural Networks" (arXiv 2108.02451)
-    writes it, in dense NumPy. It reads nothing from the blocks variant
-    table and forms each power of A with ``matrix_power``."""
+    """Y = X + F(A, Z) of a block as Table 1 of Zhu et al., "Unifying
+    Nonlocal Blocks for Neural Networks" (arXiv 2108.02451) writes it, in
+    dense NumPy. It reads nothing from the blocks variant table and forms
+    each power of A with ``matrix_power``. It must stay analytic (drop no
+    imaginary part): complex inputs give the complex-step derivative."""
     xv, n, w = x.values, x.n_positions, params.filters
     phi, psi, z = xv @ params.w_phi, xv @ params.w_psi, xv @ params.w_z
-    kernel = lambda p, q: np.exp(p @ q.T / np.sqrt(p.shape[1]))
+    kernel = ((lambda p, q: p @ q.T) if cfg.kernel == "dot"
+              else lambda p, q: np.exp(p @ q.T / np.sqrt(p.shape[1])))
     walk = lambda m: m / m.sum(axis=1, keepdims=True)
     m = kernel(phi, psi)
     sym = (m + m.T) / 2.0

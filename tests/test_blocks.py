@@ -429,20 +429,45 @@ def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_by
         assert np.array_equal(single.values, single.values.T)
 
 
-def transposed_symmetric_backward(t, mode, u, v):
-    """The symmetric normalization backward as it was before the one-product
-    form: dL/dA densely, its row and column sums, and a transposed add."""
-    assert mode == "symmetric"
+def dense_affinity_backward(t, recipe, kernel, u, v):
+    """dL/dS as the backward formed it before the factored product: dL/dA
+    densely, each normalization's quotient rule on (V, V) arrays (the
+    symmetric one with its row and column sums and a transposed add), then
+    the kernel step, with M formed on its own dense route."""
     g_a = u @ blocks._t(v)
     a, d = t.a, t.d
-    s = 1.0 / np.sqrt(d)
-    ga_a = g_a * a
-    row = ga_a.sum(axis=-1)
-    col = ga_a.sum(axis=-2)
-    g_mhat = s[..., :, None] * s[..., None, :]
-    g_mhat *= g_a
-    g_mhat -= ((row + col) / (2.0 * d))[..., :, None]
-    return 0.5 * (g_mhat + blocks._t(g_mhat))
+    if recipe.normalization == "symmetric":
+        s = 1.0 / np.sqrt(d)
+        ga_a = g_a * a
+        row = ga_a.sum(axis=-1)
+        col = ga_a.sum(axis=-2)
+        g_mhat = s[..., :, None] * s[..., None, :]
+        g_mhat *= g_a
+        g_mhat -= ((row + col) / (2.0 * d))[..., :, None]
+        g_m = 0.5 * (g_mhat + blocks._t(g_mhat))
+    elif recipe.normalization == "random_walk":
+        r = (g_a * a).sum(axis=-1)
+        g_m = (g_a - r[..., :, None]) / d[..., :, None]
+        if t.mask is not None:
+            g_m *= t.mask
+    else:
+        g_m = g_a
+    if kernel == "exp_dot":
+        left, right = (getattr(t, name) for name in recipe.pair)
+        width = left.shape[-1]
+        g_m *= np.exp(left @ blocks._t(right) / np.sqrt(width))
+        g_m /= np.sqrt(width)
+    return g_m
+
+
+def assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch):
+    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    monkeypatch.setattr(blocks, "_affinity_backward", dense_affinity_backward)
+    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
+    assert rel(gx, want_gx) <= 1e-12
+    for name, ref in want.items():
+        assert rel(grads[name], ref) <= 1e-12, name
 
 
 @pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8)])
@@ -454,13 +479,39 @@ def test_symmetric_backward_matches_transposed_form(variant, order, h, w, b, mon
     params = blocks.random_params(cfg, rng)
     xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
     gs = rng.normal(size=xs.shape)
-    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
-    monkeypatch.setattr(blocks, "_normalization_backward", transposed_symmetric_backward)
-    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
-    assert rel(gx, want_gx) <= 1e-12
-    for name, ref in want.items():
-        assert rel(grads[name], ref) <= 1e-12, name
+    assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch)
+
+
+@pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8)])
+@pytest.mark.parametrize("variant,kernel", [
+    ("NL", "exp_dot"), ("CC", "exp_dot"), ("CGNL", "exp_dot"), ("SNL_A2", "exp_dot"),
+    ("A2", "exp_dot"), ("A2", "dot"), ("NL", "dot"), ("CC", "dot"),
+])
+def test_affinity_backward_matches_dense_form(variant, kernel, h, w, b, monkeypatch):
+    # random walk (CC with its mask) and none, with both kernels; the dot
+    # kernel gets nonnegative features so that it can be normalized
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, kernel=kernel)
+    rng = np.random.default_rng(34)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
+    gs = rng.normal(size=xs.shape)
+    if kernel == "dot":
+        xs = np.abs(xs) + 0.1
+        params.w_phi, params.w_psi = np.abs(params.w_phi), np.abs(params.w_psi)
+    assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", blocks.VARIANTS)
+def test_only_symmetric_tapes_hold_the_raw_kernel(variant):
+    # random walk and none read A in the backward; the forward masks and
+    # normalizes the kernel in place and keeps no copy of it
+    cfg, params, xs, _ = batch_case(variant, "exp_dot", True, 3, 4)
+    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    symmetric = blocks._RECIPES[variant].normalization == "symmetric"
+    for t in tapes:
+        assert (t.m is not None) == symmetric
+        if symmetric:
+            assert t.m.shape == t.a.shape and not np.shares_memory(t.m, t.a)
 
 
 # Tape reuse: block_backward reads the tape block_forward held when the

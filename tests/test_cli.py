@@ -160,6 +160,22 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "K-scaling" in capsys.readouterr().out
 
 
+def test_bench_times_each_variant_backward_at_the_largest_size(tmp_path, capsys):
+    code = cli.run(["bench", "--sizes", "16,9", "--orders", "2,3", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[0] == "variant,n,order,seconds"
+    rows = [line.split(",") for line in lines if "_fwd_bwd," in line]
+    want = [[f"{v}_fwd_bwd", "16", "2"] for v in blocks.VARIANTS if v != "CHEB_K"]
+    want += [["CHEB_K_fwd_bwd", "16", k] for k in ("2", "3")]
+    assert [row[:3] for row in rows] == want
+    assert all(float(row[3]) > 0.0 for row in rows)
+    out = capsys.readouterr().out.splitlines()
+    timed = [line for line in out if " N=" in line]
+    assert len(timed) == len(lines) - 1
+    assert all("IQR" in line for line in timed)
+
+
 def test_bench_fails_a_filter_superlinear_in_k(tmp_path, capsys, monkeypatch):
     # a filter that takes K^2 time: the increment ratio reads 2.0 > 1.5
     monkeypatch.setattr(blocks, "generalized_forward",

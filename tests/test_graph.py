@@ -122,6 +122,34 @@ def test_crisscross_mask_row_sums():
         assert np.all(np.diag(mask) == 1.0)
 
 
+def test_crisscross_mask_is_built_once_per_grid():
+    first = graph.crisscross_mask(5, 7)
+    first[0, 0] = 0.0  # the returned array is the caller's own
+    again = graph.crisscross_mask(5, 7)
+    assert again.dtype == np.float64 and again[0, 0] == 1.0
+    assert set(np.unique(again)) == {0.0, 1.0}
+    cached = graph._crisscross(5, 7)
+    assert cached is graph._crisscross(5, 7)
+    assert cached.dtype == bool and not cached.flags.writeable
+    assert np.array_equal(cached, again)
+    with pytest.raises(ShapeError):
+        graph.crisscross_mask(0, 3)
+
+
+@pytest.mark.parametrize("shape", [(150, 150), (3, 70, 70)])  # past one block of rows
+def test_normalize_keeps_its_input_and_scales_by_the_outer_product(shape):
+    rng = np.random.default_rng(10)
+    raw = np.exp(rng.normal(0.0, 0.5, size=shape))
+    sym = graph.symmetrize(AffinityMatrix(raw)).values
+    before = sym.copy()
+    got = graph.normalize(AffinityMatrix(sym), "symmetric").values
+    assert np.array_equal(sym, before)
+    s = 1.0 / np.sqrt(sym.sum(axis=-1))
+    assert np.array_equal(got, (s[..., :, None] * s[..., None, :]) * sym)
+    walk = graph.normalize(AffinityMatrix(raw), "random_walk").values
+    assert np.array_equal(walk, raw / raw.sum(axis=-1)[..., :, None])
+
+
 def test_flatten_is_column_major_and_roundtrips():
     z = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     v = graph.flatten_spatial_channel(z)
