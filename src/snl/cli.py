@@ -8,6 +8,7 @@ K-scaling gate failed, 2 = usage or configuration error.
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -218,15 +219,21 @@ def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -
     return _seconds(call)
 
 
-def _bench_train_step() -> list[float]:
-    """One SGD step of the toy net with an SNL block: B=32, N=64, c_s=2."""
+def _bench_train_step() -> tuple[list[float], float]:
+    """Seconds of one SGD step of the toy net with an SNL block (B=32,
+    N=64, c_s=2), and the minor page faults per step once warm."""
     data = harness.gen_dataset(seed=0, n_samples=32, c=4)
     net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
     velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
-    # lr 0 keeps the weights, so every repeat does the same work
-    return _seconds(
-        lambda: harness._sgd_step(net, velocity, data.values, data.labels, 0.0, step=1)
-    )
+
+    def step():  # lr 0 keeps the weights, so every repeat does the same work
+        harness._sgd_step(net, velocity, data.values, data.labels, 0.0, step=1)
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times = _seconds(step)  # a warm-up step and BENCH_REPEATS timed ones
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return times, faults / (BENCH_REPEATS + 1)
 
 
 # perfbench's bound on the filter-only increment ratio; 1.0 is linear in K
@@ -297,11 +304,15 @@ def _cmd_bench(args) -> int:
         print(f"{label:<14} N={n:<6} {what}  {t:.4f}s  IQR {q3 - q1:.4f}s")
         return t
 
+    # first, while the process is fresh: the step's faults would otherwise
+    # depend on what the larger rows left in the allocator
+    step_times, step_faults = _bench_train_step()
+    record("train_step", harness.GRID * harness.GRID, 2, step_times, "B=32")
+    print(f"train_step minor page faults per step: {step_faults:.1f}")
     for variant in blocks.VARIANTS:
         for n in sizes:
             order = 2 if variant != "CHEB_K" else orders[0]
             record(variant, n, order, _bench_once(variant, n, order, rng), f"K={order}")
-    record("train_step", harness.GRID * harness.GRID, 2, _bench_train_step(), "B=32")
     # at the largest N, each variant's forward + backward; CHEB_K's come
     # per order below
     n_fixed = max(sizes)

@@ -17,7 +17,6 @@ import numpy as np
 from . import blocks
 from .blocks import BlockConfig
 from .errors import ConfigError, NumericError
-from .graph import FeatureMap
 
 # central-difference step of every gradient check
 _EPS = 1e-5
@@ -82,7 +81,8 @@ def check_block_gradients(
     height: int = 3,
     width: int = 3,
 ) -> list[GradReport]:
-    """Compare ``block_backward`` against central differences.
+    """Compare ``block_backward_batch``, reading the base forward's tapes,
+    against central differences.
 
     Input and parameters are drawn from ``seed``; the scalar loss is the
     sum of squared block outputs. When the config freezes the affinity
@@ -95,15 +95,15 @@ def check_block_gradients(
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     rng = np.random.default_rng(seed)
     n = height * width
-    x = FeatureMap(height, width, cfg.c_in, rng.normal(0.0, 0.7, size=(n, cfg.c_in)))
+    x = rng.normal(0.0, 0.7, size=(n, cfg.c_in))
     params = blocks.random_params(cfg, rng)
 
-    y, tapes = blocks.block_forward_batch(x.values[None], height, width, cfg, params)
+    y, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
     frozen_a = None if cfg.backprop_affinity else tapes[0].a
 
     def loss(name: str, value: np.ndarray) -> float:
         """The loss with the input ("x") or one parameter set to ``value``."""
-        xv, p = x.values, copy.copy(params)  # shallow: no array is checked again
+        xv, p = x, copy.copy(params)  # shallow: no array is checked again
         if name == "x":
             xv = value
         elif name in p.filters:
@@ -115,11 +115,11 @@ def check_block_gradients(
             out = xv + blocks._filter(cfg, p, frozen_a, ts[0].z_node, n)[0]
         return float(np.sum(out[0] ** 2))
 
-    grad_x, grad_params = blocks.block_backward(x, cfg, params, 2.0 * y[0])
-    analytic = {"x": grad_x, **grad_params}
+    grad_x, grad_params = blocks.block_backward_batch(tapes, cfg, params, 2.0 * y)
+    analytic = {"x": grad_x[0], **grad_params}
     floor = error_floor(float(np.sum(y[0] ** 2)), _EPS, tolerance)
     reports = []
-    for name, point in [("x", x.values), *params.items()]:
+    for name, point in [("x", x), *params.items()]:
         numeric = finite_diff(functools.partial(loss, name), point, _EPS)
         abs_err, rel_err = _rel_errors(analytic[name], numeric, floor)
         reports.append(GradReport(name, abs_err, rel_err, point.size, rel_err <= tolerance))

@@ -48,7 +48,8 @@ def complex_step(cfg, height, width, arrays, g) -> dict:
 CASES = (
     [(v, "exp_dot", 3, 4, 3) for v in blocks.VARIANTS]
     + [(v, "exp_dot", 1, 5, 3) for v in blocks.VARIANTS]
-    + [("A2", "dot", 3, 4, 3), ("A2", "dot", 1, 5, 3)]
+    + [(v, "exp_dot", 5, 1, 3) for v in blocks.VARIANTS]
+    + [("A2", "dot", 3, 4, 3), ("A2", "dot", 1, 5, 3), ("A2", "dot", 5, 1, 3)]
     + [("CHEB_K", "exp_dot", 3, 4, k) for k in (2, 5, 8)]
 )
 

@@ -78,16 +78,16 @@ def test_roundoff_seeds_pass(seed, variant, backprop):
 def test_wrong_entry_still_fails(monkeypatch):
     # one entry of each gradient off by 1e-3 relative must fail the check
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3)
-    honest = blocks.block_backward
+    honest = blocks.block_backward_batch
 
-    def skewed(x, cfg, params, upstream):
-        gx, grads = honest(x, cfg, params, upstream)
-        for g in [gx, *grads.values()]:
+    def skewed(tapes, cfg, params, upstream):
+        gx, grads = honest(tapes, cfg, params, upstream)
+        for g in [gx[0], *grads.values()]:  # gx[0] is a view of the one sample
             i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
             g[i] *= 1.0 + 1e-3
         return gx, grads
 
-    monkeypatch.setattr(blocks, "block_backward", skewed)
+    monkeypatch.setattr(blocks, "block_backward_batch", skewed)
     reports = gradcheck.check_block_gradients(cfg, seed=541)
     assert all(not r.passed for r in reports), [(r.parameter, r.passed) for r in reports]
 
@@ -105,10 +105,11 @@ def test_tolerance_must_be_finite_and_positive(tol, capsys):
 
 @pytest.mark.parametrize("backprop", [False, True])
 def test_probes_run_on_the_batched_core(monkeypatch, backprop):
-    # each probe is one block_forward_batch call; the B=1 block_forward,
-    # which keys, copies and holds a tape per call, runs at most once per
-    # check, and no tape is held when the check returns
-    calls = {"block_forward": 0, "block_forward_batch": 0}
+    # each probe is one block_forward_batch call, and the analytic side reads
+    # the base forward's tapes: the B=1 block_forward and block_backward,
+    # which key, copy, hold or rebuild a tape, are never called, and no tape
+    # is held when the check returns
+    calls = {"block_forward": 0, "block_backward": 0, "block_forward_batch": 0}
     for name in calls:
         honest = getattr(blocks, name)
 
@@ -120,5 +121,5 @@ def test_probes_run_on_the_batched_core(monkeypatch, backprop):
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3, backprop_affinity=backprop)
     reports = gradcheck.check_block_gradients(cfg, seed=0)
     assert calls["block_forward_batch"] >= 2 * sum(r.checked_entries for r in reports)
-    assert calls["block_forward"] <= 1
+    assert calls["block_forward"] == calls["block_backward"] == 0
     assert blocks._held is None

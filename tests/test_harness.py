@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -202,3 +207,37 @@ def test_batched_training_reproduces_reference_loss(monkeypatch):
     assert small == (runs[0][-1]["loss"], runs[0][-1]["accuracy"])
     assert small[0] == pytest.approx(whole[0], rel=1e-12, abs=0.0)
     assert small[1] == whole[1]
+
+
+# Five warm-up SGD steps of an SNL block (B=32, N=64), then the minor page
+# faults of the next twenty, in a fresh process: an earlier N = 1024 run in
+# this process could have raised glibc's dynamic mmap threshold past the
+# tile size and hidden faults that a fresh process takes.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from snl import harness
+from snl.blocks import BlockConfig
+
+data = harness.gen_dataset(seed=0, n_samples=32, c=4)
+net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
+velocity = {name: np.zeros_like(p) for name, p in net.parameters()}
+for step in range(25):
+    if step == 5:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._sgd_step(net, velocity, data.values, data.labels, 0.03, step)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_sgd_step_takes_no_page_faults_once_warm():
+    # a (8, 64, 64) tile array is 256 KiB, over glibc's default 128 KiB mmap
+    # threshold: unless the block module pins the thresholds, every tile
+    # maps fresh pages, about 720-775 faults per step
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert float(out) <= 20.0
