@@ -15,9 +15,11 @@ and wraps an affinity in ``AffinityMatrix`` only in ``build_block_affinity``.
 match byte for byte. The forward and ``generalized_forward`` evaluate the
 polynomial with ``spectral._polynomial``, one product with A per power;
 the backward takes one product with A^T per power: both are linear in K.
-The symmetric recipes read no (V, V) array transposed past a tile: the
-forward forms M^T as the swapped product psi phi^T. The backward forms the
-kernel's gradient as one product of thin factors (``_affinity_backward``).
+The core never forms A: a tape keeps the masked kernel M, its one (V, V)
+array, and the degrees d, and ``_Affinity`` applies A and A^T to thin
+operands as diagonal scalings around products with M. The backward forms
+the kernel's gradient as one product of thin factors
+(``_affinity_backward``).
 """
 
 import ctypes
@@ -277,14 +279,15 @@ class Tape:
 
     Arrays carry the tile's batch axis first: x (B, N, C_in); phi, psi, z
     (B, N, C_s); v the flattened (B, N*C_s, 1) signal (CGNL only); m the
-    raw kernel (B, V, V) over the V graph vertices (V = N, or N*C_s for
-    CGNL), kept by the symmetric recipes only; a the normalized affinity
-    (B, V, V) and d its degrees (B, V), None when the variant does not
-    normalize; z_node the signal the polynomial filters and powers[k] =
-    A^k z_node. mask is the read-only bool criss-cross mask (CC only).
+    kernel (B, V, V) over the V graph vertices (V = N, or N*C_s for CGNL),
+    masked for CC, the tape's only (V, V) array; d (B, V) the degrees of
+    the normalized graph, None when the variant does not normalize; z_node
+    the signal the polynomial filters and powers[k] = A^k z_node, with A
+    applied by ``_Affinity``. mask is the read-only bool criss-cross mask
+    (CC only).
     """
 
-    __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "a", "d", "z_node", "powers")
+    __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "d", "z_node", "powers")
 
     def __init__(self):
         for name in self.__slots__:
@@ -304,7 +307,7 @@ def _check_stack(values, height: int, width: int) -> np.ndarray:
 
 
 def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams) -> Tape:
-    """Embed, kernel, mask or symmetrize, and normalize a validated stack."""
+    """Embed, kernel, mask and degrees of a validated stack."""
     recipe = _RECIPES[cfg.variant]
     t = Tape()
     t.x = xv
@@ -313,46 +316,99 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
         _vertices(cfg, height * width)  # raises past the vertex cap
         t.v = graph.flatten_spatial_channel(t.z)
     left, right = (getattr(t, name) for name in recipe.pair)
-    raw = graph.kernel_matrix(left, right, cfg.kernel)
+    t.m = graph.kernel_matrix(left, right, cfg.kernel)
     t.z_node = getattr(t, recipe.node)
-    if recipe.normalization == "symmetric":  # no symmetric row masks
-        t.m = raw
-        raw = _symmetrized(raw, left, right, cfg.kernel)
-    elif recipe.mask:
+    if recipe.mask:
         t.mask = graph._crisscross(height, width)
-        raw *= t.mask
-    if recipe.normalization == "none":
-        t.a = raw
-    else:
-        t.a, t.d = graph._normalized(raw, recipe.normalization)
+        t.m *= t.mask
+    if recipe.normalization != "none":
+        t.d = _degrees(t.m, recipe.normalization, cfg.kernel)
     return t
 
 
-def _symmetrized(m: np.ndarray, left: np.ndarray, right: np.ndarray, kernel: str) -> np.ndarray:
-    """(M + M^T) / 2 of the kernel stack M = k(left, right), bit for bit
-    what ``graph.symmetrize`` gives.
+def _degrees(m: np.ndarray, mode: str, kernel: str) -> np.ndarray:
+    """Degrees of the normalized graph of a kernel stack M: rowsum M for a
+    random walk; for symmetric, (rowsum M + colsum M)/2, the row sums of
+    M_hat = (M + M^T)/2. Raises what ``graph.degrees`` raises on M or M_hat.
+    exp_dot entries are positive by construction, so only the dot kernel
+    takes the min pass, and M_hat is formed only when M has a negative
+    entry: M_hat can have one only then."""
+    if kernel == "dot" and m.min() < 0.0:
+        graph._check_nonnegative(m if mode == "random_walk" else 0.5 * (m + _t(m)))
+    if mode == "random_walk":
+        return graph._check_degrees(m.sum(axis=-1))
+    return graph._check_degrees(0.5 * (m.sum(axis=-1) + m.sum(axis=-2)))
 
-    Past TILE_BYTES per sample, M^T is formed as the swapped product
-    right left^T, with left prescaled and the result exponentiated as
-    ``graph.kernel_matrix`` forms M, so no (V, V) array is
-    read transposed: at N = 1024 that read walks an 8 KiB row stride, one
-    cache set per column, and took 15-19 ms against 1-3 ms for a
-    contiguous add. BLAS returns each entry of the swapped product bit for
-    bit (the tests check this at the block path's shapes), so it needs no
-    overflow guard of its own. Within a tile M stays in cache, where the
-    transposed read is cheaper than a second exp.
+
+# Past this degree, which only a kernel near the exp_dot guard reaches, a
+# row of M p, bounded by d max|p|, can pass the float64 range where A p,
+# bounded by max|p|, cannot.
+_WIDE_DEGREE = 2.0 ** 512
+
+
+class _Affinity:
+    """The normalized affinity A of a tile as diagonal scalings around its
+    kernel stack M, applied to thin (B, V, c) operands; A is never formed.
+
+    none: A = M. random_walk: A = D^-1 M, so A p = (M p)/d and
+    A^T g = M^T (g/d). symmetric: A = S M_hat S with S = D^-1/2, so
+    A p = s * (M q + M^T q)/2 with q = s * p, and A^T = A. ``a @ p`` is
+    A p and ``a.T @ g`` is A^T g, so ``spectral._polynomial`` and the
+    backward take it where they would take a dense A. A product with M^T
+    takes the thin operand first, (q^T M)^T: at N = 1024 that took 0.64 ms
+    against 1.3-1.6 ms for M^T q, whose BLAS call reads M transposed.
+    ``_affinity`` builds one from a tape.
     """
-    if m[0].nbytes <= TILE_BYTES:
-        out = m + _t(m)
-    else:
-        if kernel == "exp_dot":
-            left = left / np.sqrt(left.shape[-1])
-        out = right @ _t(left)
-        if kernel == "exp_dot":
-            np.exp(out, out=out)
-        out += m  # in place: a fresh sum was slower at N = 1024
-    out *= 0.5
-    return out
+
+    __slots__ = ("m", "col", "mode", "shift", "transposed")
+
+    def __init__(self, m: np.ndarray, col, mode: str, shift=None, transposed: bool = False):
+        # col: d, or s = d^-1/2 for symmetric, as a (B, V, 1) column; shift:
+        # per-sample powers of two that scale p in a random walk's M p
+        self.m, self.col, self.mode, self.shift = m, col, mode, shift
+        self.transposed = transposed
+
+    @property
+    def T(self) -> "_Affinity":
+        if self.mode == "symmetric":
+            return self
+        return _Affinity(self.m, self.col, self.mode, self.shift, not self.transposed)
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        m, col = self.m, self.col
+        if self.mode == "symmetric":
+            q = col * p
+            out = m @ q
+            out += _t(_t(q) @ m)
+            out *= 0.5 * col
+            return out
+        if self.transposed:
+            return _t(_t(p if col is None else p / col) @ m)
+        if col is None:
+            return m @ p
+        if self.shift is None:
+            out = m @ p
+            out /= col
+            return out
+        # the powers of two change no rounding in the normal range
+        out = m @ np.ldexp(p, -self.shift)
+        out /= col
+        return np.ldexp(out, self.shift, out=out)
+
+
+def _affinity(t: Tape, cfg: BlockConfig) -> _Affinity:
+    """A of a tile's tape, from its kernel M and degrees d."""
+    m, d, mode = t.m, t.d, _RECIPES[cfg.variant].normalization
+    if d is None:
+        return _Affinity(m, None, mode)
+    col = d[..., None]
+    if mode == "symmetric":
+        return _Affinity(m, 1.0 / np.sqrt(col), mode)
+    if d.max() <= _WIDE_DEGREE:
+        return _Affinity(m, col, mode)
+    # p is scaled so that M p stays below 2^512 max|p|
+    top = col.max(axis=-2, keepdims=True)
+    return _Affinity(m, col, mode, np.maximum(np.frexp(top)[1] - 512, 0))
 
 
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
@@ -361,9 +417,9 @@ def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
     return spectral._polynomial(a, z_node, terms, _reader(cfg, n_positions)[0])
 
 
-# The core runs over tiles of samples whose (V, V) affinity arrays hold at
-# most TILE_BYTES each: 8 samples at N = 64. About a dozen elementwise
-# passes touch every affinity entry per forward and backward. Tiles this
+# The core runs over tiles of samples whose (V, V) kernel arrays hold at
+# most TILE_BYTES each: 8 samples at N = 64. Several elementwise passes
+# touch every kernel entry per forward and backward. Tiles this
 # size stay in cache, which halved the B = 32, N = 64 block step on a
 # 2-core Xeon VM against one (32, 64, 64) stack.
 TILE_BYTES = 256 * 1024
@@ -423,7 +479,7 @@ def block_forward_batch(
     tapes, fs = [], []
     for tile in _tiles(xv.shape[0], cfg, n):
         t = _build_affinity(xv[tile], height, width, cfg, params)
-        f, t.powers = _filter(cfg, params, t.a, t.z_node, n)
+        f, t.powers = _filter(cfg, params, _affinity(t, cfg), t.z_node, n)
         tapes.append(t)
         fs.append(f)
     y = xv + np.concatenate(fs)
@@ -433,11 +489,18 @@ def block_forward_batch(
 
 
 def build_block_affinity(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> AffinityMatrix:
-    """The affinity matrix a variant aggregates with (see ``VARIANTS``)."""
+    """The dense affinity matrix a variant aggregates with (see
+    ``VARIANTS``), formed from the core's kernel M on the public graph
+    route: ``graph.normalize(graph.symmetrize(M), "symmetric")``,
+    ``graph.normalize(M, "random_walk")``, or M itself."""
     check_params(cfg, params)
     t = _build_affinity(_check_stack(x.values[None], x.height, x.width), x.height, x.width,
                         cfg, params)
-    return AffinityMatrix(t.a[0], _RECIPES[cfg.variant].normalization)
+    m = AffinityMatrix(t.m[0])
+    mode = _RECIPES[cfg.variant].normalization
+    if mode == "symmetric":
+        m = graph.symmetrize(m)
+    return m if mode == "none" else graph.normalize(m, mode)
 
 
 def generalized_forward(
@@ -507,36 +570,38 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v) -> np.ndarray:
+def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu) -> np.ndarray:
     """dL/dS of the kernel's Gram matrix S = left right^T, given dL/dA = G
-    as its factors u v^T: one product of stacked thin factors, then at most
+    as its factors u v^T and the products A v and A^T u that the filter's
+    passes already took: one product of stacked thin factors, then at most
     one in-place product with a kept (V, V) array. exp_dot: M = exp(c S),
-    c = 1/sqrt(width), so dM/dS = c M, and A already carries the mask, 1/d
-    and M of a random walk or of none; symmetric reads M from the tape."""
+    c = 1/sqrt(width), so dM/dS = c M, and the kept array is the tape's M,
+    which carries the mask; a random walk's 1/d rides on the left factor.
+    The row terms come from A v and A^T u, so no product with M is taken
+    here."""
     d = None if t.d is None else t.d[..., None]
     ones = np.ones_like(u[..., :1])
     if recipe.normalization == "symmetric":
         # A = s s^T * (M + M^T)/2 with s = d^-1/2. With H = G + G^T and A
         # symmetric, q = rowsum(H * A) = rowsum(u * A v + v * A u), and
         # dL/dM = (s s^T * H)/2 - rho 1^T - 1 rho^T with rho = q/(4d).
-        av, au = np.split(t.a @ np.concatenate((v, u), axis=-1), 2, axis=-1)
-        rho = np.sum(u * av + v * au, axis=-1, keepdims=True) / (4.0 * d)
+        rho = np.sum(u * av + v * atu, axis=-1, keepdims=True) / (4.0 * d)
         s = 1.0 / np.sqrt(d)
         left, right = [0.5 * s * u, 0.5 * s * v, rho, ones], [s * v, s * u, -ones, -rho]
-        kept = t.m
     elif recipe.normalization == "random_walk":
         # A = D^-1 M: dL/dM = (G - r 1^T) / d with r = rowsum(G * A) = rowsum(u * A v)
-        r = np.sum(u * (t.a @ v), axis=-1, keepdims=True)
-        left, right, kept = [u, -r], [v, ones], t.a
+        r = np.sum(u * av, axis=-1, keepdims=True)
+        left, right = [u, -r], [v, ones]
     else:
-        left, right, kept = [u], [v], t.a
+        left, right = [u], [v]
     left = np.concatenate(left, axis=-1)
+    if recipe.normalization == "random_walk":
+        left /= d
     if kernel == "exp_dot":
         left *= 1.0 / np.sqrt(getattr(t, recipe.pair[0]).shape[-1])
-    else:  # dM/dS = 1: of A only the mask and, for a random walk, 1/d remain
+        kept = t.m
+    else:  # dM/dS = 1: of M only the mask remains
         kept = t.mask
-        if recipe.normalization == "random_walk":
-            left /= d
     g_s = left @ _t(np.concatenate(right, axis=-1))
     if kept is not None:
         g_s *= kept
@@ -581,7 +646,8 @@ def block_backward_batch(
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
     a tile: each role's per-sample gradient, dL/dz_node, and dL/dA as the
-    factors (u, v) of dL/dA = u v^T (None without ``backprop_affinity``).
+    factors (u, v) of dL/dA = u v^T with the products A v and A^T u
+    (None without ``backprop_affinity``).
 
     g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
     that read powers[k] and then takes A^T g_p[k + 1] from the power above,
@@ -598,14 +664,17 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
         per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         g_p[k] = r if g_p[k] is None else g_p[k] + r
-    a_t = _t(tape.a)
+    a_t = _affinity(tape, cfg).T
+    a_t_g = [None] * (top + 1)
     for k in range(top, 0, -1):
-        r = a_t @ g_p[k]
+        a_t_g[k] = r = a_t @ g_p[k]
         g_p[k - 1] = r if g_p[k - 1] is None else g_p[k - 1] + r
     g_a = None
     if cfg.backprop_affinity:
-        # dL/dA = sum_k g_p[k] powers[k-1]^T = u v^T, one product over every k
-        g_a = np.concatenate(g_p[1:], axis=-1), np.concatenate(tape.powers[:top], axis=-1)
+        # dL/dA = sum_k g_p[k] powers[k-1]^T = u v^T, one product over every
+        # k; A v = powers[1:] and A^T u = a_t_g[1:] were taken above
+        cat = functools.partial(np.concatenate, axis=-1)
+        g_a = cat(g_p[1:]), cat(tape.powers[:top]), cat(tape.powers[1:]), cat(a_t_g[1:])
     return per_sample, g_p[0], g_a
 
 

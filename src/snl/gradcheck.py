@@ -99,7 +99,7 @@ def check_block_gradients(
     params = blocks.random_params(cfg, rng)
 
     y, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    frozen_a = None if cfg.backprop_affinity else tapes[0].a
+    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tapes[0], cfg)
 
     def loss(name: str, value: np.ndarray) -> float:
         """The loss with the input ("x") or one parameter set to ``value``."""

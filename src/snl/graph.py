@@ -126,12 +126,21 @@ def degrees(values: np.ndarray) -> np.ndarray:
     """Row-sum degree vector of an affinity array; validates the
     normalization domain."""
     _check_square(values, "normalize")
+    _check_nonnegative(values)
+    return _check_degrees(values.sum(axis=-1))
+
+
+def _check_nonnegative(values: np.ndarray) -> None:
+    """Degree normalization's domain: no negative affinity entry."""
     if values.min() < 0.0:
         raise KernelDomainError(
             "affinity has negative entries; degree normalization needs a "
             "nonnegative kernel (use exp_dot)"
         )
-    d = values.sum(axis=-1)
+
+
+def _check_degrees(d: np.ndarray) -> np.ndarray:
+    """d, if every degree is strictly positive (above 1e-12)."""
     if d.min() <= 1e-12:
         raise DegenerateVertexError(
             f"vertex degree {float(d.min()):.3g} is not strictly positive"
@@ -139,34 +148,30 @@ def degrees(values: np.ndarray) -> np.ndarray:
     return d
 
 
-def _normalized(values: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Degree-normalize an affinity array (or stack) in place; returns it and
-    the degrees D. ``mode`` is random_walk or symmetric: (s_i s_j) M_ij, s =
-    D^-1/2, with s s^T formed 64 rows at a time, not as a fresh (N, N) array
-    (row then column scaling would round differently and break symmetry)."""
-    d = degrees(values)
-    if mode == "random_walk":
-        values /= d[..., :, None]
-        return values, d
-    s = 1.0 / np.sqrt(d)
-    for i in range(0, values.shape[-2], 64):
-        values[..., i:i + 64, :] *= s[..., i:i + 64, None] * s[..., None, :]
-    return values, d
-
-
 def normalize(m: AffinityMatrix, mode: str) -> AffinityMatrix:
     """Degree-normalize an affinity matrix.
 
     random_walk: D^-1 M (rows sum to 1). symmetric: D^-1/2 M_hat D^-1/2
     of an exactly symmetric input, such as ``symmetrize`` gives; the
-    result is exactly symmetric with spectrum inside [-1, 1].
+    result is exactly symmetric with spectrum inside [-1, 1]: (s_i s_j)
+    M_ij with s = D^-1/2, and s s^T formed 64 rows at a time, not as a
+    fresh (N, N) array (row then column scaling would round differently
+    and break symmetry).
     """
     v = m.values
     if mode == "symmetric" and not np.array_equal(v, v.swapaxes(-1, -2)):
         raise PreconditionError("symmetric normalization requires symmetrize()")
     if mode not in ("random_walk", "symmetric"):
         raise PreconditionError(f"unknown normalization mode {mode!r}")
-    return AffinityMatrix(_normalized(v.copy(), mode)[0], mode)
+    values = v.copy()
+    d = degrees(values)
+    if mode == "random_walk":
+        values /= d[..., :, None]
+    else:
+        s = 1.0 / np.sqrt(d)
+        for i in range(0, values.shape[-2], 64):
+            values[..., i:i + 64, :] *= s[..., i:i + 64, None] * s[..., None, :]
+    return AffinityMatrix(values, mode)
 
 
 def crisscross_mask(h: int, w: int) -> np.ndarray:

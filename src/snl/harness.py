@@ -216,9 +216,9 @@ def _sgd_step(net: ToyNet, velocity: dict, values: np.ndarray, labels: np.ndarra
 # overflow and invalid-value warnings are silenced for train and evaluate.
 DIVERGENCE_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
-# Evaluation runs in chunks of the default training batch, so the raw and
-# normalized affinities one forward pass keeps (32 x 64 x 64 float64 at
-# N = 64) stay near 1 MiB each, as in a training step.
+# Evaluation runs in chunks of the default training batch, so the kernels
+# one forward pass keeps (32 x 64 x 64 float64 at N = 64) stay near 1 MiB,
+# as in a training step.
 EVAL_CHUNK = 32
 
 

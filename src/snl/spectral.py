@@ -108,7 +108,9 @@ def _polynomial(a: np.ndarray, z: np.ndarray, terms, read=None):
     [z, A z, ..., A^K z]: one product with A per power, so A^k is never
     formed and the cost is linear in K. w_k is a matrix applied on the
     right, or a scalar; ``read`` maps a power to the signal the weights act
-    on (default: the power). A and z may be (B, ...) stacks."""
+    on (default: the power). A and z may be (B, ...) stacks, and A may be
+    any operator that applies itself with ``@``, such as the block core's
+    ``blocks._Affinity``."""
     powers = [z]
     for _ in range(max(k for k, _ in terms)):
         powers.append(a @ powers[-1])

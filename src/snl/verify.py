@@ -188,36 +188,66 @@ def check_filter_automorphism():
     return err <= 1e-10, f"max commutation error {err:.3e}"
 
 
-def _table1_forward(cfg: BlockConfig, x: FeatureMap, params) -> np.ndarray:
-    """Y = X + F(A, Z) of a block as Table 1 of Zhu et al., "Unifying
-    Nonlocal Blocks for Neural Networks" (arXiv 2108.02451) writes it, in
-    dense NumPy. It reads nothing from the blocks variant table and forms
-    each power of A with ``matrix_power``. It must stay analytic (drop no
+def _table1_affinity(cfg: BlockConfig, x: FeatureMap, params) -> np.ndarray:
+    """The dense affinity A of a block as Table 1 of Zhu et al., "Unifying
+    Nonlocal Blocks for Neural Networks" (arXiv 2108.02451) writes it: over
+    the N positions, or for CGNL over the N*C_s entries of vec(Z). It reads
+    nothing from the blocks variant table. It must stay analytic (drop no
     imaginary part): complex inputs give the complex-step derivative."""
-    xv, n, w = x.values, x.n_positions, params.filters
+    xv, n = x.values, x.n_positions
     phi, psi, z = xv @ params.w_phi, xv @ params.w_psi, xv @ params.w_z
     kernel = ((lambda p, q: p @ q.T) if cfg.kernel == "dot"
               else lambda p, q: np.exp(p @ q.T / np.sqrt(p.shape[1])))
     walk = lambda m: m / m.sum(axis=1, keepdims=True)
-    m = kernel(phi, psi)
-    sym = (m + m.T) / 2.0
-    sym /= np.sqrt(np.outer(sym.sum(axis=1), sym.sum(axis=1)))
+
+    def sym():
+        m = kernel(phi, psi)
+        m = (m + m.T) / 2.0
+        return m / np.sqrt(np.outer(m.sum(axis=1), m.sum(axis=1)))
+
     row, col = np.divmod(np.arange(n), x.width)
     cross = (row[:, None] == row) | (col[:, None] == col)
     vec = z.T.reshape(-1, 1)  # CGNL: a vertex per (position, channel)
+    a = {
+        "NL": lambda: walk(kernel(phi, psi)),
+        "NS": lambda: walk(kernel(phi, psi)),
+        "A2": lambda: kernel(phi, psi),
+        "CGNL": lambda: walk(kernel(vec, vec)),
+        "CC": lambda: walk(np.where(cross, kernel(phi, psi), 0.0)),
+        "SNL": sym,
+        "SNL_A1": sym,
+        "SNL_A2": lambda: walk(kernel(phi, psi)),
+        "CHEB_K": sym,
+    }
+    return a[cfg.variant]()
+
+
+def _table1_filter(cfg: BlockConfig, a: np.ndarray, x: FeatureMap, params) -> np.ndarray:
+    """Y = X + F(A, Z) of a block as Table 1 writes it, for a given dense A,
+    forming each power of A with ``matrix_power``. Analytic in x and the
+    parameters, like ``_table1_affinity``; a real A held fixed gives the
+    complex-step derivative of a block whose affinity is frozen."""
+    xv, n, w = x.values, x.n_positions, params.filters
+    z = xv @ params.w_z
+    vec = z.T.reshape(-1, 1)
     f = {
-        "NL": lambda: walk(m) @ z @ w["w"],
-        "NS": lambda: (walk(m) - np.eye(n)) @ z @ w["w"],
-        "A2": lambda: m @ z @ w["w"],
-        "CGNL": lambda: (walk(kernel(vec, vec)) @ vec).reshape(-1, n).T @ w["w"],
-        "CC": lambda: walk(np.where(cross, m, 0.0)) @ xv @ w["w"],
-        "SNL": lambda: z @ w["w1"] + sym @ z @ w["w2"],
-        "SNL_A1": lambda: sym @ z @ w["w"],
-        "SNL_A2": lambda: z @ w["w1"] + walk(m) @ z @ w["w2"],
-        "CHEB_K": lambda: sum(np.linalg.matrix_power(sym, k) @ z @ w[f"w{k + 1}"]
+        "NL": lambda: a @ z @ w["w"],
+        "NS": lambda: (a - np.eye(n)) @ z @ w["w"],
+        "A2": lambda: a @ z @ w["w"],
+        "CGNL": lambda: (a @ vec).reshape(-1, n).T @ w["w"],
+        "CC": lambda: a @ xv @ w["w"],
+        "SNL": lambda: z @ w["w1"] + a @ z @ w["w2"],
+        "SNL_A1": lambda: a @ z @ w["w"],
+        "SNL_A2": lambda: z @ w["w1"] + a @ z @ w["w2"],
+        "CHEB_K": lambda: sum(np.linalg.matrix_power(a, k) @ z @ w[f"w{k + 1}"]
                               for k in range(cfg.order)),
     }
     return xv + f[cfg.variant]()
+
+
+def _table1_forward(cfg: BlockConfig, x: FeatureMap, params) -> np.ndarray:
+    """Y = X + F(A, Z) of a block in closed form: Table 1's A, then its filter."""
+    return _table1_filter(cfg, _table1_affinity(cfg, x, params), x, params)
 
 
 def check_unification():
@@ -240,14 +270,16 @@ def check_tied_weight_identities():
         x, params = _random_block_inputs(rng, cfg)
         _, (t,) = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
         w = params.filters["w"]
-        nl = blocks._filter(cfg, params, t.a, t.z_node, x.n_positions)[0][0]
-        cheb = blocks.generalized_forward(t.a[0], t.z[0], [np.zeros_like(w), w])
+        a = blocks.build_block_affinity(x, cfg, params).values
+        nl = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, x.n_positions)[0][0]
+        cheb = blocks.generalized_forward(a, t.z[0], [np.zeros_like(w), w])
         if not np.array_equal(nl, cheb):
             worst = max(worst, linalg.rel_error(nl, cheb))
         cfg_ns = BlockConfig(variant="NS", c_in=4, c_s=2)
         params.filters = {"w": w}
-        ns = blocks._filter(cfg_ns, params, t.a, t.z_node, x.n_positions)[0][0]
-        cheb_ns = blocks.generalized_forward(t.a[0], t.z[0], [-w, w])
+        ns = blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node,
+                            x.n_positions)[0][0]
+        cheb_ns = blocks.generalized_forward(a, t.z[0], [-w, w])
         if not np.array_equal(ns, cheb_ns):
             worst = max(worst, linalg.rel_error(ns, cheb_ns))
     return worst <= 1e-12, f"max tied-weight rel error {worst:.3e}"

@@ -129,10 +129,11 @@ def test_criterion_4_unification_table():
             cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
             params = blocks.random_params(cfg, np.random.default_rng(seed + 50))
             _, (t,) = blocks.block_forward_batch(x.values[None], 3, 3, cfg, params)
-            got = blocks._filter(cfg, params, t.a, t.z_node, 9)[0][0]
+            got = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, 9)[0][0]
+            a = blocks.build_block_affinity(x, cfg, params).values
             if variant == "CGNL":
                 fv = blocks.generalized_forward(
-                    t.a[0], t.v[0], [np.zeros((1, 1)), np.ones((1, 1))]
+                    a, t.v[0], [np.zeros((1, 1)), np.ones((1, 1))]
                 )
                 want = (
                     graph.unflatten_spatial_channel(fv, 9, cfg.c_s)
@@ -141,7 +142,7 @@ def test_criterion_4_unification_table():
             else:
                 w = params.filters["w"]
                 ws = [-w, w] if variant == "NS" else [np.zeros_like(w), w]
-                want = blocks.generalized_forward(t.a[0], t.z_node[0], ws)
+                want = blocks.generalized_forward(a, t.z_node[0], ws)
             if not np.array_equal(got, want):
                 worst = max(worst, linalg.rel_error(got, want))
     report(4, "unification table", worst <= 1e-12, f"max rel error {worst:.3e}")
@@ -159,8 +160,9 @@ def test_criterion_5_tied_weight_identities():
         for variant, weights in (("NS", [-w, w]), ("NL", [np.zeros_like(w), w])):
             cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
             out = blocks.block_forward(x, cfg, params).values
-            _, (t,) = blocks.block_forward_batch(x.values[None], 3, 3, cfg, params)
-            cheb = x.values + blocks.generalized_forward(t.a[0], t.z[0], weights)
+            a = blocks.build_block_affinity(x, cfg, params).values
+            z = x.values @ params.w_z
+            cheb = x.values + blocks.generalized_forward(a, z, weights)
             worst = max(worst, linalg.rel_error(out, cheb))
     report(5, "tied-weight identities", worst <= 1e-12, f"max rel error {worst:.3e}")
 
