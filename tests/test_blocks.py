@@ -397,6 +397,29 @@ def test_backward_matches_per_term_reference(variant, kernel, backprop, h, w, or
 # The symmetric recipes apply A = S (M + M^T)/2 S as scalings around the
 # kernel M, and form dL/dA + (dL/dA)^T as one product of its factors.
 SYMMETRIC = ["SNL", "SNL_A1", "CHEB_K"]
+# criterion 3's adversarial input scales: unit, large, tiny, underflowing, zero
+INPUT_SCALES = [0.5, 10.0, 1e-8, 1e-150, 0.0]
+
+
+@pytest.mark.parametrize("b,n", [(8, 64), (1, 1024)])  # an N = 64 tile, one 32x32 sample
+@pytest.mark.parametrize("c_s", [1, 2, 3, 4])
+def test_swapped_product_is_the_transposed_product(b, n, c_s):
+    # _Affinity forms M^T q as the swapped product (q^T M)^T, thin operand
+    # first: A^T g with A = M, and the M^T q half of a symmetric A p
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=c_s)
+    rng = np.random.default_rng(30 + c_s)
+    params = blocks.random_params(cfg, rng)
+    q = rng.normal(size=(b, n, 3))
+    for scale in INPUT_SCALES:
+        phi, psi, _ = blocks.embed(scale * rng.normal(size=(b, n, 4)), params)
+        for kernel in graph.KERNELS:
+            m = graph.kernel_matrix(phi, psi, kernel)
+            want = blocks._t(m) @ q
+            got = blocks._Affinity(m, None, "none").T @ q
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
+            want = (m @ q + want) / 2
+            got = blocks._Affinity(m, np.ones((b, n, 1)), "symmetric") @ q
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
 
 
 def symmetric_reference(phi, psi, kernel="exp_dot"):
