@@ -275,7 +275,9 @@ def _reader(cfg: BlockConfig, n_positions: int):
 
 class Tape:
     """Intermediates of one tile of a batched forward pass, read by the
-    backward pass. All are plain arrays, checked where they enter the core.
+    backward pass: the whole stack in one tape when its kernels fit in
+    ``TILE_BYTES`` (32 MiB; a B = 32, N = 64 call holds 1 MiB). All are
+    plain arrays, checked where they enter the core.
 
     Arrays carry the tile's batch axis first: x (B, N, C_in); phi, psi, z
     (B, N, C_s); v the flattened (B, N*C_s, 1) signal (CGNL only); m the
@@ -335,9 +337,12 @@ def _degrees(m: np.ndarray, mode: str, kernel: str) -> np.ndarray:
     entry: M_hat can have one only then."""
     if kernel == "dot" and m.min() < 0.0:
         graph._check_nonnegative(m if mode == "random_walk" else 0.5 * (m + _t(m)))
+    # row and column sums as BLAS products, M 1 and 1^T M: at (32, 64, 64)
+    # both took 55 us against 92 + 86 us for the two axis sums
+    ones = np.ones(m.shape[-1])
     if mode == "random_walk":
-        return graph._check_degrees(m.sum(axis=-1))
-    return graph._check_degrees(0.5 * (m.sum(axis=-1) + m.sum(axis=-2)))
+        return graph._check_degrees(m @ ones)
+    return graph._check_degrees(0.5 * (m @ ones + ones @ m))
 
 
 # Past this degree, which only a kernel near the exp_dot guard reaches, a
@@ -417,29 +422,31 @@ def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
     return spectral._polynomial(a, z_node, terms, _reader(cfg, n_positions)[0])
 
 
-# The core runs over tiles of samples whose (V, V) kernel arrays hold at
-# most TILE_BYTES each: 8 samples at N = 64. Several elementwise passes
-# touch every kernel entry per forward and backward. Tiles this
-# size stay in cache, which halved the B = 32, N = 64 block step on a
-# 2-core Xeon VM against one (32, 64, 64) stack.
-TILE_BYTES = 256 * 1024
-
-# A full tile array is just over glibc's default 128 KiB mmap threshold.
-# Tile after tile of a batched call, glibc mapped such arrays fresh and
-# unmapped or trimmed them on free, and the next tile faulted their pages
-# in again: about 720-775 minor faults per SGD step of an SNL block at
-# B = 32, N = 64. Pinning glibc's mmap and trim thresholds at 32 MiB, the
-# largest mmap threshold it takes, keeps such arrays on the heap. Both are
-# set because setting either one alone switches off glibc's dynamic
-# threshold and faults more than neither. The setting is process-wide. It
-# is made on the first batched call whose tile arrays pass 128 KiB, and
-# one-sample calls are left to glibc's dynamic threshold: on a mix of
-# one-sample N = 1024 calls that already takes no faults, and pinning at
-# import raised its peak RSS by 8 MiB in 7 of 10 benchmark runs. Where
-# glibc's mallopt is missing nothing is set.
+# A batched call's (V, V) arrays pass glibc's default 128 KiB mmap
+# threshold: 1 MiB each in an SGD step at B = 32, N = 64. glibc mapped
+# such arrays fresh and unmapped or trimmed them on free, and the next
+# array faulted their pages in again: about 720-775 minor faults per SGD
+# step of an SNL block, then cut into 256 KiB tiles. Pinning glibc's mmap
+# and trim thresholds at 32 MiB, the largest mmap threshold it takes,
+# keeps such arrays on the heap. Both are set because setting either one
+# alone switches off glibc's dynamic threshold and faults more than
+# neither. The setting is process-wide. It is made on the first batched
+# call whose tile arrays pass 128 KiB, and one-sample calls are left to
+# glibc's dynamic threshold: on a mix of one-sample N = 1024 calls that
+# already takes no faults, and pinning at import raised its peak RSS by
+# 8 MiB in 7 of 10 benchmark runs. Where glibc's mallopt is missing
+# nothing is set.
 _GLIBC_MMAP_DEFAULT_BYTES = 128 * 1024
 _MALLOC_THRESHOLD_BYTES = 32 * 1024 * 1024
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+# The core runs over tiles of samples whose (V, V) kernel arrays hold at
+# most TILE_BYTES each, the pinned mmap threshold: a tile array of more
+# than one sample never passes it, so it stays on the heap. A training or
+# evaluation call (B = 32, N = 64, 1 MiB) is one tile; CGNL's large
+# flattened graphs still split. With the thresholds pinned, one stack beat
+# 256 KiB tiles in SGD steps at B = 32, 64 and 128 for SNL, NL and CHEB_K.
+TILE_BYTES = _MALLOC_THRESHOLD_BYTES
 
 
 @functools.cache
@@ -468,8 +475,10 @@ def block_forward_batch(
     """Residual forward pass Y = X + F(A, Z) of a stack of B feature maps.
 
     ``values`` is (B, H*W, C_in), each sample in row-major grid order, and
-    is validated once here. Each sample gets its own (N, N) affinity; they
-    are built as (b, N, N) stacks over tiles of b samples. Returns Y
+    is validated once here. Each sample gets its own (V, V) kernel; they
+    are built as (b, V, V) stacks over tiles of b samples whose kernels
+    hold at most ``TILE_BYTES``, so a training step (B = 32, N = 64) is one
+    tile and only large flattened CGNL graphs split. Returns Y
     (B, H*W, C_in) and the tiles' Tapes, which ``block_backward_batch``
     reads, so the affinity is built once per forward/backward pair.
     """
@@ -691,7 +700,7 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
         g_s = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
         left, right = recipe.pair
         _add(grads, left, g_s @ getattr(tape, right))
-        _add(grads, right, _t(g_s) @ getattr(tape, left))
+        _add(grads, right, _t(_t(getattr(tape, left)) @ g_s))  # thin operand first
     if "v" in grads:  # v = vec(z)
         _add(grads, "z", graph.unflatten_spatial_channel(grads.pop("v"), tape.x.shape[1], cfg.c_s))
 

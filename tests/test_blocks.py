@@ -275,7 +275,9 @@ def rel(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
-@pytest.mark.parametrize("tile_bytes", [blocks.TILE_BYTES, 1])  # 1: one sample per tile
+# 256 KiB holds each case's batch in one tile, as the default budget does;
+# 1: one sample per tile
+@pytest.mark.parametrize("tile_bytes", [256 * 1024, 1])
 @pytest.mark.parametrize("variant,kernel,backprop,h,w", BATCH_CASES)
 def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, tile_bytes,
                                              monkeypatch):
@@ -427,7 +429,9 @@ def symmetric_reference(phi, psi, kernel="exp_dot"):
                            "symmetric")
 
 
-@pytest.mark.parametrize("tile_bytes", [blocks.TILE_BYTES, 0])  # 0: one sample per tile
+# 256 KiB holds each case's batch in one tile, as the default budget does;
+# 0: one sample per tile
+@pytest.mark.parametrize("tile_bytes", [256 * 1024, 0])
 @pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8), (32, 32, 1)])
 @pytest.mark.parametrize("variant", SYMMETRIC)
 def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_bytes,
@@ -748,6 +752,7 @@ def test_core_validates_at_its_boundary(variant, monkeypatch):
     # one finiteness pass over the input stack forward and one over the
     # upstream gradient backward, however many tiles; no internal product
     # is validated again
+    monkeypatch.setattr(blocks, "TILE_BYTES", 0)  # 0: one sample per tile
     cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
     rng = np.random.default_rng(41)
     params = blocks.random_params(cfg, rng)
@@ -759,10 +764,22 @@ def test_core_validates_at_its_boundary(variant, monkeypatch):
             return real(values)
         monkeypatch.setattr(linalg, name, counted)
     _, tapes = blocks.block_forward_batch(xs, 8, 8, cfg, params)
-    assert len(tapes) > 1
+    assert len(tapes) == 32
     assert calls == {"as_stack": 1, "as_matrix": 0}
     blocks.block_backward_batch(tapes, cfg, params, rng.normal(size=xs.shape))
     assert calls == {"as_stack": 2, "as_matrix": 0}
+
+
+def test_training_stack_is_one_tape():
+    # a training step's (32, 64, 64) kernels hold 1 MiB, far under the tile
+    # budget, so the whole stack is one tape
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    rng = np.random.default_rng(43)
+    params = blocks.random_params(cfg, rng)
+    _, tapes = blocks.block_forward_batch(rng.normal(0.0, 0.5, size=(32, 64, 4)), 8, 8, cfg,
+                                          params)
+    assert len(tapes) == 1
+    assert tapes[0].m.shape == (32, 64, 64)
 
 
 @pytest.mark.parametrize("variant", ["A2", "NL", "SNL"])

@@ -212,7 +212,8 @@ def test_batched_training_reproduces_reference_loss(monkeypatch):
 # Five warm-up SGD steps of an SNL block (B=32, N=64), then the minor page
 # faults of the next twenty, in a fresh process: an earlier N = 1024 run in
 # this process could have raised glibc's dynamic mmap threshold past the
-# tile size and hidden faults that a fresh process takes.
+# step's 1 MiB (32, 64, 64) stacks and hidden faults that a fresh process
+# takes.
 FAULT_PROBE = """
 import resource
 import numpy as np
@@ -232,9 +233,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
 def test_sgd_step_takes_no_page_faults_once_warm():
-    # a (8, 64, 64) tile array is 256 KiB, over glibc's default 128 KiB mmap
-    # threshold: unless the block module pins the thresholds, every tile
-    # maps fresh pages, about 720-775 faults per step
+    # the step's (32, 64, 64) arrays are 1 MiB each, over glibc's default
+    # 128 KiB mmap threshold: unless the block module pins the thresholds,
+    # every such array maps fresh pages, about 570 faults per step
     src = os.path.dirname(os.path.dirname(harness.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
