@@ -207,11 +207,12 @@ def load_params(in_dir: str) -> BlockParams:
 
 def embed(values: np.ndarray, params: BlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-position linear projections phi, psi, Z (1x1 convolutions) of
-    (N, C_in) values or a (B, N, C_in) stack."""
-    if values.shape[-1] != params.w_phi.shape[0]:
+    (N, C_in) values or a (B, N, C_in) stack; the projections may be
+    (B, C_in, C_s) stacks, one per sample."""
+    if values.shape[-1] != params.w_phi.shape[-2]:
         raise ShapeError(
             f"feature map has {values.shape[-1]} channels, projections expect "
-            f"{params.w_phi.shape[0]}"
+            f"{params.w_phi.shape[-2]}"
         )
     return values @ params.w_phi, values @ params.w_psi, values @ params.w_z
 

@@ -44,6 +44,20 @@ def _cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
+GRADCHECK_TOL = 1e-4  # snl gradcheck's default --tol
+
+
+def _gradcheck_cases(variants, seed: int, tol: float):
+    """(variant, backprop_affinity, reports) of each gradcheck case, in
+    order: every variant, with the affinity frozen, then backpropagated."""
+    for variant in variants:
+        for backprop in (False, True):
+            cfg = BlockConfig(
+                variant=variant, c_in=4, c_s=2, order=3, backprop_affinity=backprop
+            )
+            yield variant, backprop, gradcheck.check_block_gradients(cfg, seed, tol)
+
+
 def _cmd_gradcheck(args) -> int:
     variants = [args.variant] if args.variant else list(blocks.VARIANTS)
     for v in variants:
@@ -51,23 +65,18 @@ def _cmd_gradcheck(args) -> int:
             raise ConfigError(f"unknown variant {v!r}")
     all_pass = True
     csv_rows = ["variant,backprop_affinity,parameter,max_abs_error,max_rel_error,checked_entries,passed"]
-    for variant in variants:
-        for backprop in (False, True):
-            cfg = BlockConfig(
-                variant=variant, c_in=4, c_s=2, order=3, backprop_affinity=backprop
+    for variant, backprop, reports in _gradcheck_cases(variants, args.seed, args.tol):
+        ok = all(r.passed for r in reports)
+        all_pass = all_pass and ok
+        print(f"== {variant} backprop_affinity={backprop}: "
+              f"{'pass' if ok else 'FAIL'}")
+        print(gradcheck.format_report_table(reports))
+        for r in reports:
+            csv_rows.append(
+                f"{variant},{int(backprop)},{r.parameter},"
+                f"{r.max_abs_error:.17g},{r.max_rel_error:.17g},"
+                f"{r.checked_entries},{int(r.passed)}"
             )
-            reports = gradcheck.check_block_gradients(cfg, args.seed, args.tol)
-            ok = all(r.passed for r in reports)
-            all_pass = all_pass and ok
-            print(f"== {variant} backprop_affinity={backprop}: "
-                  f"{'pass' if ok else 'FAIL'}")
-            print(gradcheck.format_report_table(reports))
-            for r in reports:
-                csv_rows.append(
-                    f"{variant},{int(backprop)},{r.parameter},"
-                    f"{r.max_abs_error:.17g},{r.max_rel_error:.17g},"
-                    f"{r.checked_entries},{int(r.passed)}"
-                )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "gradcheck.csv"), csv_rows)
@@ -185,6 +194,8 @@ def _cmd_export_attention(args) -> int:
 
 
 BENCH_REPEATS = 5
+# SGD steps before snl bench counts a step's page faults
+BENCH_WARMUP_STEPS = 5
 
 
 def _seconds(fn) -> list[float]:
@@ -230,7 +241,10 @@ def _bench_train_step() -> tuple[list[float], float, list]:
     def step():  # lr 0 keeps the weights, so every repeat does the same work
         harness._sgd_step(net, velocity, data.values, data.labels, 0.0, step=1)
 
-    step()
+    # the first steps grow the heap; counted from the sixth, as the test
+    # suite's probe counts, the faults are the steady state's
+    for _ in range(BENCH_WARMUP_STEPS):
+        step()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     times = _seconds(step)  # a warm-up step and BENCH_REPEATS timed ones
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -334,6 +348,12 @@ def _cmd_bench(args) -> int:
     times = {order: record("CHEB_K_fwd_bwd", n_fixed, order,
                            _bench_once("CHEB_K", n_fixed, order, rng, backward=True), f"K={order}")
              for order in ks}
+    # the two oracle commands end to end: every gradcheck case (3x3 grid,
+    # CHEB_K order 3) at seed 0, and every verify group, whose sizes vary
+    # (n and order 0)
+    record("gradcheck", 9, 3, _seconds(
+        lambda: list(_gradcheck_cases(blocks.VARIANTS, 0, GRADCHECK_TOL))), "all cases")
+    record("verify", 0, 0, _seconds(verify.run_verify), "all groups")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "bench.csv"), rows)
@@ -372,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--variant", default=None, help="check a single variant")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=GRADCHECK_TOL)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="directory for gradcheck.csv")
     p.set_defaults(fn=_cmd_gradcheck)

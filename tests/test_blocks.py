@@ -300,32 +300,39 @@ def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, ti
 
 def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
     """L = sum(G * Y) over the whole stack; every input entry and parameter
-    entry checked by central differences. Without ``backprop_affinity``
-    the loss holds each sample's A at its base-point value, as the
-    backward does."""
+    entry checked by central differences. The input's probes run as one
+    stack of probes times samples; each parameter probe is one forward.
+    Without ``backprop_affinity`` the loss holds each sample's A at its
+    base-point value, as the backward does."""
     _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
     frozen = None if cfg.backprop_affinity else dense_affinity(cfg, params, xs, h, w)
 
-    def loss(v, p):
-        y, ts = blocks.block_forward_batch(v, h, w, cfg, p)
+    def losses(vs, p):
+        """L of each (B, N, C) stack of vs (S, B, N, C) under parameters p."""
+        y, ts = blocks.block_forward_batch(vs.reshape((-1,) + xs.shape[1:]), h, w, cfg, p)
+        y = y.reshape(vs.shape)
         if frozen is not None:
             z_node = np.concatenate([t.z_node for t in ts])
-            y = v + blocks._filter(cfg, p, frozen, z_node, h * w)[0]
-        return float(np.sum(gs * y))
+            z_node = z_node.reshape(vs.shape[:2] + z_node.shape[1:])
+            y = vs + blocks._filter(cfg, p, frozen, z_node, h * w)[0]
+        return np.sum(gs * y, axis=(1, 2, 3))
 
     gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
     scale = max(np.abs(gx).max(), *(np.abs(g).max() for g in grads.values()))
-    num = gradcheck.finite_diff(lambda v: loss(v, params), xs, 1e-6)
+    num = gradcheck.finite_diff(lambda vs: losses(vs, params), xs, 1e-6)
     assert np.max(np.abs(num - gx)) <= 1e-7 * scale
     for name, mat in params.items():
-        def loss_at(v, name=name):
-            p = copy.deepcopy(params)
-            if name in p.filters:
-                p.filters[name] = v
-            else:
-                setattr(p, name, v)
-            return loss(xs, p)
-        num = gradcheck.finite_diff(loss_at, mat, 1e-6)
+        def losses_at(probes, name=name):
+            out = []
+            for v in probes:
+                p = copy.deepcopy(params)
+                if name in p.filters:
+                    p.filters[name] = v
+                else:
+                    setattr(p, name, v)
+                out.append(losses(xs[None], p)[0])
+            return np.array(out)
+        num = gradcheck.finite_diff(losses_at, mat, 1e-6)
         assert np.max(np.abs(num - grads[name])) <= 1e-7 * scale, name
 
 

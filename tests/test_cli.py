@@ -177,9 +177,15 @@ def test_bench_times_each_variant_backward_at_the_largest_size(tmp_path, capsys)
 
 
 def test_bench_fails_a_filter_superlinear_in_k(tmp_path, capsys, monkeypatch):
-    # a filter that takes K^2 time: the increment ratio reads 2.0 > 1.5
-    monkeypatch.setattr(blocks, "generalized_forward",
-                        lambda a, z, weights: time.sleep(2e-4 * len(weights) ** 2))
+    # a filter that takes K^2 time: the increment ratio reads 2.0 > 1.5; it
+    # still returns the filter, which the verify row's groups read
+    honest = blocks.generalized_forward
+
+    def slow(a, z, weights):
+        time.sleep(2e-4 * len(weights) ** 2)
+        return honest(a, z, weights)
+
+    monkeypatch.setattr(blocks, "generalized_forward", slow)
     code = cli.run(["bench", "--sizes", "16", "--orders", "2,4,8", "--out", str(tmp_path)])
     assert code == 1
     assert "grows faster than linearly" in capsys.readouterr().err

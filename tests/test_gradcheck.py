@@ -1,27 +1,61 @@
+import copy
+
 import numpy as np
 import pytest
 
 from snl import blocks, cli, gradcheck
 from snl.blocks import BlockConfig
-from snl.errors import ConfigError, NumericError
+from snl.errors import ConfigError, NumericError, ShapeError
 
 
 def test_finite_diff_quadratic_exact():
+    # the loss takes the (2P, 2, 2) probe stack and returns its 2P losses
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
     point = np.array([[1.0, 2.0], [3.0, 4.0]])
-    loss = lambda x: float(np.sum(a * x * x))
+    loss = lambda xs: np.sum(a * xs * xs, axis=(1, 2))
     got = gradcheck.finite_diff(loss, point, 1e-5)
     assert np.max(np.abs(got - 2.0 * a * point)) < 1e-8
 
 
+def test_finite_diff_probe_stack_order():
+    # x + eps e_i for every entry in index order, then x - eps e_i
+    point = np.array([[1.0, 2.0, 3.0]])
+    seen = []
+
+    def loss(xs):
+        seen.append(xs.copy())
+        return np.zeros(len(xs))
+
+    gradcheck.finite_diff(loss, point, 0.5)
+    assert len(seen) == 1
+    bump = 0.5 * np.eye(3).reshape(3, 1, 3)
+    np.testing.assert_array_equal(seen[0], np.concatenate([point + bump, point - bump]))
+
+
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        gradcheck.finite_diff(lambda x: 0.0, np.zeros(2), 0.0)
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), np.zeros(2), 0.0)
 
 
 def test_finite_diff_nonfinite_loss():
     with pytest.raises(NumericError):
-        gradcheck.finite_diff(lambda x: float("nan"), np.zeros(2), 1e-5)
+        gradcheck.finite_diff(lambda xs: np.full(len(xs), np.nan), np.zeros(2), 1e-5)
+
+
+def test_finite_diff_names_the_first_bad_entry():
+    # entry 3's minus probe and entry 1's plus probe are non-finite: entry 1
+    def loss(xs):
+        out = np.zeros(len(xs))
+        out[[1, 5 + 3]] = [np.inf, np.nan]
+        return out
+
+    with pytest.raises(NumericError, match="entry 1$"):
+        gradcheck.finite_diff(loss, np.zeros(5), 1e-5)
+
+
+def test_finite_diff_rejects_a_loss_of_the_wrong_shape():
+    with pytest.raises(ShapeError):
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs) - 1), np.zeros(3), 1e-5)
 
 
 # Each (variant, kernel) on a square and a non-square grid; without
@@ -103,14 +137,24 @@ def test_tolerance_must_be_finite_and_positive(tol, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def probes_per_call(cfg, height, width):
+    """Probes per core call: their (b, V, V) kernels hold at most 1 MiB and
+    at most TILE_BYTES."""
+    v = blocks._vertices(cfg, height * width)
+    return max(1, min(blocks.TILE_BYTES, gradcheck._PROBE_CALL_BYTES) // (8 * v * v))
+
+
 @pytest.mark.parametrize("backprop", [False, True])
 def test_probes_run_on_the_batched_core(monkeypatch, backprop):
-    # each probe is one block_forward_batch call, and the analytic side reads
-    # the base forward's tapes: the B=1 block_forward and block_backward,
-    # which key, copy, hold or rebuild a tape, are never called, and no tape
-    # is held when the check returns
-    calls = {"block_forward": 0, "block_backward": 0, "block_forward_batch": 0}
-    for name in calls:
+    # one base forward, then each checked array's probes as one stacked core
+    # call per chunk; the analytic side reads the base forward's tapes: the
+    # B=1 block_forward and block_backward, which key, copy, hold or rebuild
+    # a tape, are never called, and no tape is held when the check returns
+    # (none is held when it starts, whatever an earlier test left)
+    monkeypatch.setattr(blocks, "_held", None)
+    names = ("block_forward", "block_backward", "block_forward_batch", "_build_affinity")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         honest = getattr(blocks, name)
 
         def counted(*args, _name=name, _honest=honest):
@@ -119,7 +163,103 @@ def test_probes_run_on_the_batched_core(monkeypatch, backprop):
 
         monkeypatch.setattr(blocks, name, counted)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3, backprop_affinity=backprop)
-    reports = gradcheck.check_block_gradients(cfg, seed=0)
-    assert calls["block_forward_batch"] >= 2 * sum(r.checked_entries for r in reports)
-    assert calls["block_forward"] == calls["block_backward"] == 0
-    assert blocks._held is None
+    # the default budget puts each array's probes in one call; 3000 bytes
+    # puts at most 4 (9, 9) kernels in one
+    for tile_bytes in (blocks.TILE_BYTES, 3000):
+        monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
+        calls.update(dict.fromkeys(names, 0))
+        reports = gradcheck.check_block_gradients(cfg, seed=0)
+        per_call = probes_per_call(cfg, 3, 3)
+        chunks = [-(-2 * r.checked_entries // per_call) for r in reports]
+        assert calls["block_forward_batch"] == 1
+        assert calls["_build_affinity"] == 1 + sum(chunks)
+        assert (max(chunks) > 1) == (tile_bytes == 3000)
+        assert calls["block_forward"] == calls["block_backward"] == 0
+        assert blocks._held is None
+
+
+def per_probe_differences(cfg, seed, height, width):
+    """Central differences of each array as a loop of one-probe
+    ``block_forward_batch`` calls, the loss summed per call, with the draws
+    of ``check_block_gradients``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 0.7, size=(height * width, cfg.c_in))
+    params = blocks.random_params(cfg, rng)
+    _, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
+    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tapes[0], cfg)
+
+    def loss(name, value):
+        xv, p = x, copy.deepcopy(params)
+        if name == "x":
+            xv = value
+        elif name in p.filters:
+            p.filters[name] = value
+        else:
+            setattr(p, name, value)
+        out, ts = blocks.block_forward_batch(xv[None], height, width, cfg, p)
+        if frozen_a is not None:
+            out = xv + blocks._filter(cfg, p, frozen_a, ts[0].z_node, height * width)[0]
+        return float(np.sum(out[0] ** 2))
+
+    eps = gradcheck._EPS
+    diffs = {}
+    for name, point in [("x", x), *params.items()]:
+        flat = point.ravel()
+        diff = np.empty_like(flat)
+        for i in range(flat.size):
+            bumped = flat.copy()
+            bumped[i] = flat[i] + eps
+            hi = loss(name, bumped.reshape(point.shape))
+            bumped[i] = flat[i] - eps
+            lo = loss(name, bumped.reshape(point.shape))
+            diff[i] = (hi - lo) / (2.0 * eps)
+        diffs[name] = diff.reshape(point.shape)
+    return diffs
+
+
+def batched_differences(monkeypatch, cfg, seed, height, width):
+    """The reports of ``check_block_gradients`` and the central differences
+    it took, in parameter order."""
+    taken = []
+    honest = gradcheck.finite_diff
+
+    def recorded(*args):
+        taken.append(honest(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(gradcheck, "finite_diff", recorded)
+    reports = gradcheck.check_block_gradients(cfg, seed, height=height, width=width)
+    monkeypatch.setattr(gradcheck, "finite_diff", honest)
+    return reports, dict(zip([r.parameter for r in reports], taken))
+
+
+BIT_CASES = [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (3, 4)], ids=["3x3", "3x4"])
+@pytest.mark.parametrize("backprop", [False, True])
+@pytest.mark.parametrize("variant,kernel", BIT_CASES)
+def test_stacked_probes_match_one_probe_calls_bitwise(monkeypatch, variant, kernel, backprop,
+                                                     grid):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3, kernel=kernel,
+                      backprop_affinity=backprop)
+    _, got = batched_differences(monkeypatch, cfg, 0, *grid)
+    want = per_probe_differences(cfg, 0, *grid)
+    assert list(got) == list(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_chunked_probes_give_identical_reports(monkeypatch):
+    # 3000 bytes holds at most 4 (9, 9) kernels, so the 72 probes of x take
+    # 18 core calls and the 16 of each parameter 4
+    cfg = BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=3)
+    whole, whole_diffs = batched_differences(monkeypatch, cfg, 5, 3, 3)
+    monkeypatch.setattr(blocks, "TILE_BYTES", 3000)
+    assert probes_per_call(cfg, 3, 3) == 4
+    chunked, chunked_diffs = batched_differences(monkeypatch, cfg, 5, 3, 3)
+    assert chunked == whole
+    want = per_probe_differences(cfg, 5, 3, 3)
+    for name in want:
+        assert np.array_equal(chunked_diffs[name], want[name]), name
+        assert np.array_equal(whole_diffs[name], want[name]), name
