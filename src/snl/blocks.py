@@ -591,16 +591,20 @@ def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu) -> 
     here."""
     d = None if t.d is None else t.d[..., None]
     ones = np.ones_like(u[..., :1])
+    # row sums over the factors' short last axis of width w are products
+    # with a ones vector: 24 us against 65 us for np.sum(axis=-1) at B = 32
+    w = u.shape[-1]
     if recipe.normalization == "symmetric":
         # A = s s^T * (M + M^T)/2 with s = d^-1/2. With H = G + G^T and A
         # symmetric, q = rowsum(H * A) = rowsum(u * A v + v * A u), and
         # dL/dM = (s s^T * H)/2 - rho 1^T - 1 rho^T with rho = q/(4d).
-        rho = np.sum(u * av + v * atu, axis=-1, keepdims=True) / (4.0 * d)
-        s = 1.0 / np.sqrt(d)
-        left, right = [0.5 * s * u, 0.5 * s * v, rho, ones], [s * v, s * u, -ones, -rho]
+        rho = ((u * av + v * atu) @ np.ones(w))[..., None] / (4.0 * d)
+        # [s u, s v] as one product; 0.5 (s u) is (0.5 s) u to the bit
+        suv = (1.0 / np.sqrt(d)) * np.concatenate([u, v], axis=-1)
+        left, right = [0.5 * suv, rho, ones], [suv[..., w:], suv[..., :w], -ones, -rho]
     elif recipe.normalization == "random_walk":
         # A = D^-1 M: dL/dM = (G - r 1^T) / d with r = rowsum(G * A) = rowsum(u * A v)
-        r = np.sum(u * av, axis=-1, keepdims=True)
+        r = ((u * av) @ np.ones(w))[..., None]
         left, right = [u, -r], [v, ones]
     else:
         left, right = [u], [v]
@@ -624,40 +628,35 @@ def block_backward_batch(
     """Analytic gradients of a batched forward pass, read from its Tapes.
 
     Returns dL/dX as a (B, N, C_in) stack and, per parameter, the sum of
-    the B per-sample gradients. That batch sum is the only reduction
-    across samples; it adds them in sample order, so repeated runs agree
-    bit for bit. With ``backprop_affinity`` the gradient also flows
-    through the kernel, mask, symmetrization, and degree normalization;
-    otherwise A is treated as a constant.
+    the B per-sample gradients. Each tile takes its sum over samples and
+    positions as one (b*N, .)^T (b*N, .) product, and the tiles' sums are
+    added in tile order, so repeated runs agree bit for bit. With
+    ``backprop_affinity`` the gradient also flows through the kernel,
+    mask, symmetrization, and degree normalization; otherwise A is
+    treated as a constant.
     """
     check_params(cfg, params)
     g = linalg.as_stack(upstream_grad)
     want = (sum(t.x.shape[0] for t in tapes),) + tapes[0].x.shape[1:]
     if g.shape != want:
         raise ShapeError(f"upstream grad {g.shape} vs output {want}")
-    gx, per_sample = [], {}
+    gx, grads = [], {name: np.zeros_like(mat) for name, mat in params.items()}
     start = 0
     for tape in tapes:
         stop = start + tape.x.shape[0]
         gx_tile, per_tile = _tile_backward(tape, cfg, params, g[start:stop])
         gx.append(gx_tile)
         for name, grad in per_tile.items():
-            per_sample.setdefault(name, []).append(grad)
+            grads[name] += grad
         start = stop
-    # the per-sample gradients are added in sample order
-    grads = {
-        name: np.concatenate(per_sample[name]).sum(axis=0) if name in per_sample
-        else np.zeros_like(mat)
-        for name, mat in params.items()
-    }
     return np.concatenate(gx), grads
 
 
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
-    a tile: each role's per-sample gradient, dL/dz_node, and dL/dA as the
-    factors (u, v) of dL/dA = u v^T with the products A v and A^T u
-    (None without ``backprop_affinity``).
+    a tile: each role's gradient summed over the tile, dL/dz_node, and
+    dL/dA as the factors (u, v) of dL/dA = u v^T with the products A v and
+    A^T u (None without ``backprop_affinity``).
 
     g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
     that read powers[k] and then takes A^T g_p[k + 1] from the power above,
@@ -667,11 +666,11 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     terms = _variant_terms(cfg)
     read, unread = _reader(cfg, tape.x.shape[1])
     top = max(k for k, _, _ in terms)
-    per_sample = {}
+    per_tile = {}
     g_p = [None] * (top + 1)
     for k, role, sign in terms:
-        contrib = sign * (_t(read(tape.powers[k])) @ g)
-        per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
+        contrib = sign * (_rows(read(tape.powers[k])).T @ _rows(g))
+        per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         g_p[k] = r if g_p[k] is None else g_p[k] + r
     a_t = _affinity(tape, cfg).T
@@ -685,17 +684,23 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
         # k; A v = powers[1:] and A^T u = a_t_g[1:] were taken above
         cat = functools.partial(np.concatenate, axis=-1)
         g_a = cat(g_p[1:]), cat(tape.powers[:top]), cat(tape.powers[1:]), cat(a_t_g[1:])
-    return per_sample, g_p[0], g_a
+    return per_tile, g_p[0], g_a
 
 
 def _add(grads: dict, name: str, grad: np.ndarray) -> None:
     grads[name] = grad if name not in grads else grads[name] + grad
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (b, N, c) stack as (b*N, c) rows: a product of two such row blocks,
+    one BLAS call, sums a gradient over samples and positions at once."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
-    """dL/dX of one tile and each parameter's per-sample gradients."""
+    """dL/dX of one tile and each parameter's gradient summed over it."""
     recipe = _RECIPES[cfg.variant]
-    per_sample, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
+    per_tile, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
     grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
     if g_a_factors is not None:
         g_s = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
@@ -706,16 +711,16 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
         _add(grads, "z", graph.unflatten_spatial_channel(grads.pop("v"), tape.x.shape[1], cfg.c_s))
 
     gx = g + grads["x"] if "x" in grads else g.copy()
-    x_t = _t(tape.x)
+    x_rows = _rows(tape.x)
     into_x = None
     for name, source in (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z")):
         if source in grads:
-            per_sample[name] = x_t @ grads[source]
+            per_tile[name] = x_rows.T @ _rows(grads[source])
             term = grads[source] @ getattr(params, name).T
             into_x = term if into_x is None else into_x + term
     if into_x is not None:
         gx += into_x
-    return gx, per_sample
+    return gx, per_tile
 
 
 def block_backward(

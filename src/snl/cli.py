@@ -6,6 +6,7 @@ K-scaling gate failed, 2 = usage or configuration error.
 """
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -253,6 +254,14 @@ def _bench_train_step() -> tuple[list[float], float, list]:
     return times, faults / (BENCH_REPEATS + 1), tapes
 
 
+def _bench_evaluate() -> list[float]:
+    """Seconds of one ``harness.evaluate`` of 512 samples, EVAL_CHUNK per
+    forward pass, on the toy net with an SNL block (N=64, c_s=2)."""
+    data = harness.gen_dataset(seed=0, n_samples=512, c=4)
+    net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
+    return _seconds(lambda: harness.evaluate(net, data))
+
+
 # perfbench's bound on the filter-only increment ratio; 1.0 is linear in K
 CHEB_GROWTH_LIMIT = 1.5
 # back-to-back K triplets of the filter-only timing
@@ -327,6 +336,8 @@ def _cmd_bench(args) -> int:
     record("train_step", harness.GRID * harness.GRID, 2, step_times, "B=32")
     print(f"train_step minor page faults per step: {step_faults:.1f}, tapes per step: "
           f"{len(tapes)}, MiB per tile: {max(t.m.nbytes for t in tapes) / 2**20:.2f}")
+    record("evaluate", harness.GRID * harness.GRID, 2, _bench_evaluate(),
+           f"512 samples, B={harness.EVAL_CHUNK}")
     for variant in blocks.VARIANTS:
         for n in sizes:
             order = 2 if variant != "CHEB_K" else orders[0]
@@ -378,7 +389,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: building it takes about
+    20 times as long as a parse, and ``parse_args`` keeps no state between
+    calls, so every ``run`` shares it."""
     parser = argparse.ArgumentParser(
         prog="snl",
         description="Spectral-view nonlocal blocks: verification, training, export",
@@ -413,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_export_attention)
 
     p = sub.add_parser(
-        "bench", help="time block_forward and its backward per variant and one SNL "
-                      "training step"
+        "bench", help="time block_forward and its backward per variant, one SNL "
+                      "training step and one evaluate"
     )
     p.add_argument("--sizes", default="64,256,1024")
     p.add_argument("--orders", default="2,4,8")

@@ -1,8 +1,9 @@
 """Finite-difference oracle for the analytic block gradients.
 
-``finite_diff`` builds every probe of one array, x + eps e_i and then
-x - eps e_i for each entry i, as one stack and hands it to a batched loss
-in one call. ``check_block_gradients`` validates its input and parameters
+``finite_diff`` builds the probes of one array, x + eps e_i and then
+x - eps e_i for each entry i, as stacks of at most ``_PROBE_PART_BYTES``
+and hands each to a batched loss: one call for every array of the CLI's
+grids. ``check_block_gradients`` validates its input and parameters
 once, in a base ``block_forward_batch``, and then runs each array's probes
 through the block core as (b, ...) stacks: an input probe stack shares the
 parameters, and a parameter probe stack is set into a shallow copy of them
@@ -34,6 +35,13 @@ _EPS = 1e-5
 _PROBE_CALL_BYTES = 1024 * 1024
 
 
+# Most bytes of one probe stack handed to the loss. The 2P probes of a
+# P-entry array hold 16 P^2 bytes, so one stack of them all would grow as
+# P^2: 16 MiB for a 16x16 grid's input (P = 1,024). Any array of at most
+# 256 entries (an 8x8 grid of 4 channels) still goes in one part.
+_PROBE_PART_BYTES = 1024 * 1024
+
+
 @dataclass
 class GradReport:
     """Per-parameter comparison of analytic vs finite-difference gradients."""
@@ -49,24 +57,31 @@ def finite_diff(loss_fn, point: np.ndarray, eps: float) -> np.ndarray:
     """Central differences (f(x + eps e_i) - f(x - eps e_i)) / 2 eps of
     every entry i of ``point``.
 
-    ``loss_fn`` takes the (2P, *point.shape) stack of probes of the P
-    entries, x + eps e_i for each i in index order and then x - eps e_i in
-    the same order, and returns their 2P losses. It is called once, and
-    the stack holds 2P copies of the point. A non-finite loss raises
-    ``NumericError`` naming the first entry whose probes gave one.
+    ``loss_fn`` takes a (b, *point.shape) stack of probes and returns
+    their b losses. The 2P probes of the P entries, x + eps e_i for each i
+    in index order and then x - eps e_i in the same order, go to it in
+    that order in consecutive parts of at most ``_PROBE_PART_BYTES`` (at
+    least one probe each). A non-finite loss raises ``NumericError``
+    naming the first entry whose probes gave one.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     point = np.asarray(point, dtype=np.float64)
     flat = point.ravel()
     n = flat.size
-    probes = np.tile(flat, (2, n, 1))
-    i = np.arange(n)
-    probes[0, i, i] = flat + eps
-    probes[1, i, i] = flat - eps
-    losses = np.asarray(loss_fn(probes.reshape((2 * n,) + point.shape)), dtype=np.float64)
-    if losses.shape != (2 * n,):
-        raise ShapeError(f"loss of {2 * n} probes returned shape {losses.shape}")
+    per_part = max(1, _PROBE_PART_BYTES // (8 * n))
+    # probe k bumps entry k mod n, by +eps for k < n and by -eps after
+    bumped = np.concatenate([flat + eps, flat - eps])
+    losses = []
+    for start in range(0, 2 * n, per_part):
+        k = np.arange(start, min(start + per_part, 2 * n))
+        probes = np.tile(flat, (len(k), 1))
+        probes[np.arange(len(k)), k % n] = bumped[k]
+        part = np.asarray(loss_fn(probes.reshape((len(k),) + point.shape)), dtype=np.float64)
+        if part.shape != (len(k),):
+            raise ShapeError(f"loss of {len(k)} probes returned shape {part.shape}")
+        losses.append(part)
+    losses = np.concatenate(losses)
     hi, lo = losses[:n], losses[n:]
     bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
     if bad.size:

@@ -5,18 +5,39 @@ The task: an 8x8 grid carries two marked cells at Chebyshev distance >= 5,
 each holding one of P orthogonal unit patterns; the label says whether the
 patterns match. A 3x3-conv baseline cannot relate the two cells, a net
 with a nonlocal block inserted after the conv can.
+
+The net's own work outside the block is on thin (B, N, C) arrays, where
+the cost of a NumPy call, not its arithmetic, sets the time. So a step
+makes few and cheap calls: the conv patches are one ``np.take`` of
+precomputed window indices, and every sum over a short or non-trailing
+axis (pooling, the bias gradients) is a product with a ones vector, one
+BLAS call where the axis sum took several times as long.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blocks
 from .blocks import BlockConfig, BlockParams
 from .errors import ConfigError, DivergenceError
 
 GRID = 8  # fixed 8x8 grid, N = 64
+
+
+def _conv_index(height: int, width: int) -> np.ndarray:
+    """Row of each 3x3 conv tap in a (B, N+1, C) stack whose row N is zero:
+    the (N*9,) window indices of every position in row-major order, each
+    window in conv_w's (dy, dx) order, with taps off the grid at row N."""
+    n = height * width
+    row, col = np.divmod(np.arange(n), width)
+    dy, dx = np.divmod(np.arange(9), 3)
+    rr, cc = row[:, None] + dy - 1, col[:, None] + dx - 1
+    inside = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+    return np.where(inside, rr * width + cc, n).ravel()
+
+
+_CONV_INDEX = _conv_index(GRID, GRID)
 
 
 @dataclass
@@ -133,17 +154,18 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     dict for ``_backward_batch``.
     """
     b, n, c = batch_values.shape
-    padded = np.pad(batch_values.reshape(b, GRID, GRID, c), ((0, 0), (1, 1), (1, 1), (0, 0)))
-    # (b, row, col, c, 3, 3) windows, laid out as conv_w's rows: (dy, dx, channel)
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, n, 9 * c)
+    # one gather of the 9 taps per position, (dy, dx, channel) as conv_w's
+    # rows: 33 us at B = 32, where np.pad and a window view took 129 us and
+    # fancy indexing ext[:, index] 766 us
+    ext = np.concatenate([batch_values, np.zeros((b, 1, c))], axis=1)
+    patches = np.take(ext, _CONV_INDEX, axis=1).reshape(b, n, 9 * c)
     act = patches @ net.conv_w + net.conv_b
     tapes = None
     if net.block_cfg is not None:
         blocked, tapes = blocks.block_forward_batch(act, GRID, GRID, net.block_cfg, net.block_params)
     else:
         blocked = act
-    pooled = blocked.mean(axis=1)
+    pooled = np.ones(n) @ blocked / n  # 12 us against 49 us for mean(axis=1)
     logits = pooled @ net.head_w + net.head_b
     return {
         "patches": patches,
@@ -168,19 +190,21 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     """Gradients of the mean batch loss for every parameter, by name.
 
-    The batch reductions happen here and in the block: head and conv
-    gradients are single products over the stacked batch, and
-    ``blocks.block_backward_batch`` sums the block's per-sample gradients
-    in sample order. Every reduction runs in a fixed order, so a training
-    run is bit-identical across repeats.
+    The batch reductions happen here and in the block, by the module's
+    thin-array rule: head and conv weight gradients are single products
+    over the stacked batch, the biases' sums over it are products with a
+    ones vector (``conv_b`` 6 us against 41 us for ``sum(axis=(0, 1))``
+    at B = 32), and ``blocks.block_backward_batch`` adds the block's
+    gradients over its tiles in order. Every reduction runs in a fixed
+    order, so a training run is bit-identical across repeats.
     """
     b, n, c = state["act"].shape
     grads = {
         "head_w": state["pooled"].T @ dlogits,
-        "head_b": dlogits.sum(axis=0),
+        "head_b": np.ones(b) @ dlogits,
     }
-    g_pooled = dlogits @ net.head_w.T
-    g_blocked = np.repeat(g_pooled[:, None, :], n, axis=1) / n
+    # the mean's 1/n taken on the (B, C) gradient before the repeat
+    g_blocked = np.repeat((dlogits @ net.head_w.T / n)[:, None, :], n, axis=1)
     if net.block_cfg is not None:
         g_act, block_grads = blocks.block_backward_batch(
             state["tapes"], net.block_cfg, net.block_params, g_blocked
@@ -188,8 +212,9 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
         grads.update((f"block.{name}", mat) for name, mat in block_grads.items())
     else:
         g_act = g_blocked
-    grads["conv_w"] = state["patches"].reshape(b * n, -1).T @ g_act.reshape(b * n, c)
-    grads["conv_b"] = g_act.sum(axis=(0, 1))
+    g_rows = g_act.reshape(b * n, c)
+    grads["conv_w"] = state["patches"].reshape(b * n, -1).T @ g_rows
+    grads["conv_b"] = np.ones(b * n) @ g_rows
     return grads
 
 

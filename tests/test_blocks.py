@@ -366,12 +366,12 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
         read = lambda p: graph.unflatten_spatial_channel(p, n, cfg.c_s)
         unread = graph.flatten_spatial_channel
     a_t = blocks._t(dense_affinity(cfg, params, tape.x, h, w))
-    per_sample = {}
+    per_tile = {}
     g_zn = np.zeros_like(tape.z_node)
     us, vs, avs, atus = [], [], [], []
     for k, role, sign in blocks._variant_terms(cfg):
-        contrib = sign * (blocks._t(read(tape.powers[k])) @ g)
-        per_sample[role] = contrib if role not in per_sample else per_sample[role] + contrib
+        contrib = sign * (blocks._t(read(tape.powers[k])) @ g).sum(axis=0)
+        per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         for j in range(k):
             us.append(r)
@@ -383,7 +383,7 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
     g_a = None
     if cfg.backprop_affinity:
         g_a = tuple(np.concatenate(f, axis=-1) for f in (us, vs, avs, atus))
-    return per_sample, g_zn, g_a
+    return per_tile, g_zn, g_a
 
 
 @pytest.mark.parametrize(
@@ -538,6 +538,49 @@ def test_affinity_backward_matches_dense_form(variant, kernel, h, w, b, monkeypa
         xs = np.abs(xs) + 0.1
         params.w_phi, params.w_psi = np.abs(params.w_phi), np.abs(params.w_psi)
     assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch)
+
+
+def axis_sum_affinity_backward(t, recipe, kernel, u, v, av, atu):
+    """``blocks._affinity_backward`` with its row sums rho and r as
+    np.sum over the factors' last axis and each factor scaled on its own."""
+    d = None if t.d is None else t.d[..., None]
+    ones = np.ones_like(u[..., :1])
+    if recipe.normalization == "symmetric":
+        rho = np.sum(u * av + v * atu, axis=-1, keepdims=True) / (4.0 * d)
+        s = 1.0 / np.sqrt(d)
+        left, right = [0.5 * s * u, 0.5 * s * v, rho, ones], [s * v, s * u, -ones, -rho]
+    elif recipe.normalization == "random_walk":
+        r = np.sum(u * av, axis=-1, keepdims=True)
+        left, right = [u / d, -r / d], [v, ones]
+    else:
+        left, right = [u], [v]
+    left = np.concatenate(left, axis=-1)
+    if kernel == "exp_dot":
+        left /= np.sqrt(getattr(t, recipe.pair[0]).shape[-1])
+    g_s = left @ blocks._t(np.concatenate(right, axis=-1))
+    kept = t.m if kernel == "exp_dot" else t.mask
+    return g_s if kept is None else g_s * kept
+
+
+@pytest.mark.parametrize("b", [1, 3, 32])
+@pytest.mark.parametrize("variant,kernel", [
+    ("SNL", "exp_dot"), ("CHEB_K", "exp_dot"), ("NL", "exp_dot"), ("CGNL", "exp_dot"),
+    ("CC", "exp_dot"), ("CC", "dot"), ("A2", "exp_dot"),
+])
+def test_affinity_backward_row_sums_match_axis_sums(variant, kernel, b):
+    # rho (symmetric) and r (random walk) are products with a ones vector
+    # and [s u, s v] one scaling: within 1e-13 of the axis-sum form, entry
+    # by entry against the largest entry
+    cfg, params, xs, gs = batch_case(variant, kernel, True, 3, 4, seed=35, b=b)
+    if kernel == "dot":
+        xs = np.abs(xs) + 0.1
+        params.w_phi, params.w_psi = np.abs(params.w_phi), np.abs(params.w_psi)
+    _, (tape,) = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    _, _, factors = blocks._polynomial_backward(tape, cfg, params, gs)
+    recipe = blocks._RECIPES[variant]
+    got = blocks._affinity_backward(tape, recipe, kernel, *factors)
+    want = axis_sum_affinity_backward(tape, recipe, kernel, *factors)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("variant", blocks.VARIANTS)

@@ -46,6 +46,24 @@ def test_gradcheck_single_variant(tmp_path, capsys):
     assert (tmp_path / "gradcheck.csv").exists()
 
 
+def test_shared_parser_keeps_no_state_between_runs(capsys):
+    # the parser is built once per process: a --tol given to one run must
+    # not become the default of the next, which prints what a first run
+    # prints; at 1e-12 the error floor, noise / tol, moves every max_rel,
+    # so a default left at 1e-12 would show
+    cli.build_parser.cache_clear()
+    assert cli.run(["gradcheck", "--variant", "NL"]) == 0
+    first = capsys.readouterr().out
+    for tol in ("1e-3", "1e-12"):
+        assert cli.run(["gradcheck", "--variant", "NL", "--tol", tol]) == 0
+        tuned = capsys.readouterr().out
+        assert cli.run(["gradcheck", "--variant", "NL"]) == 0
+        assert capsys.readouterr().out == first
+    assert tuned != first
+    assert cli.build_parser().parse_args(["gradcheck"]).tol == cli.GRADCHECK_TOL
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_gradcheck_unknown_variant():
     assert cli.run(["gradcheck", "--variant", "NOPE"]) == 2
 
@@ -158,6 +176,9 @@ def test_bench_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == "variant,n,order,seconds"
     assert "K-scaling" in capsys.readouterr().out
+    # the SGD step's and evaluate's rows, at the toy task's N = 64
+    assert [line.rsplit(",", 1)[0] for line in lines[1:3]] == ["train_step,64,2",
+                                                              "evaluate,64,2"]
 
 
 def test_bench_times_each_variant_backward_at_the_largest_size(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +266,56 @@ def test_chunked_probes_give_identical_reports(monkeypatch):
     for name in want:
         assert np.array_equal(chunked_diffs[name], want[name]), name
         assert np.array_equal(whole_diffs[name], want[name]), name
+
+
+# Peak RSS of an SNL check on a 16x16 grid, in MiB over the same fresh
+# process's peak after a 3x3 check. One stack of the input's 2,048 probes
+# alone is 16 MiB. The peak is VmHWM, the high-water mark of the process's
+# own address space: Linux carries a parent's ru_maxrss across fork and
+# exec, so under a test runner larger than the probe ru_maxrss never rises.
+PROBE_MEMORY = """
+from snl import gradcheck
+from snl.blocks import BlockConfig
+
+def peak_mib():
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3)
+gradcheck.check_block_gradients(cfg, seed=0)
+base = peak_mib()
+reports = gradcheck.check_block_gradients(cfg, seed=0, height=16, width=16)
+assert all(r.passed for r in reports), reports
+print(peak_mib() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_probe_memory_is_bounded_on_a_large_grid():
+    # the probes reach the loss in parts of at most 1 MiB: the peak grew
+    # by 3.6 MiB where one 16 MiB stack of every probe grew it by 18.6 MiB
+    src = os.path.dirname(os.path.dirname(gradcheck.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", PROBE_MEMORY], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert float(out) <= 8.0
+
+
+def test_probe_parts_keep_the_stack_order(monkeypatch):
+    # 48 bytes hold two probes of a 3-entry point: the six probes come in
+    # three parts, in the order of one stack
+    point = np.array([1.0, 2.0, 3.0])
+    seen = []
+
+    def loss(xs):
+        seen.append(xs.copy())
+        return np.sum(xs * xs, axis=1)
+
+    whole = gradcheck.finite_diff(loss, point, 0.5)
+    monkeypatch.setattr(gradcheck, "_PROBE_PART_BYTES", 48)
+    parts = gradcheck.finite_diff(loss, point, 0.5)
+    assert [len(xs) for xs in seen] == [6, 2, 2, 2]
+    np.testing.assert_array_equal(np.concatenate(seen[1:]), seen[0])
+    np.testing.assert_array_equal(parts, whole)

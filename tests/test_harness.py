@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from snl import harness
+from snl import blocks, harness
 from snl.blocks import BlockConfig
 from snl.errors import ConfigError, DivergenceError
 
@@ -110,6 +110,36 @@ def test_conv_patches_are_the_padded_3x3_windows():
             # rows of conv_w are ordered (dy, dx, channel)
             want = padded[:, r : r + 3, c : c + 3, :].reshape(3, 36)
             assert np.array_equal(patches[:, 8 * r + c], want)
+
+
+def rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("b", [1, 3, 32])
+@pytest.mark.parametrize("variant", [None, "SNL"])
+def test_batch_reductions_match_axis_sums(variant, b):
+    # pooling and the head_b and conv_b gradients are products with a ones
+    # vector: within 1e-13 relative of mean and sum over the axis
+    rng = np.random.default_rng(11)
+    cfg = None if variant is None else BlockConfig(variant=variant, c_in=4, c_s=2)
+    net = harness.init_toynet(4, cfg, seed=3)
+    if cfg is not None:
+        net.block_params.filters["w2"][:] = 0.3
+    values = rng.normal(size=(b, 64, 4))
+    state = harness._forward_batch(net, values)
+    blocked = state["act"]
+    if cfg is not None:
+        blocked, _ = blocks.block_forward_batch(blocked, 8, 8, cfg, net.block_params)
+    assert rel(state["pooled"], blocked.mean(axis=1)) <= 1e-13
+    dlogits = rng.normal(size=(b, 2))
+    grads = harness._backward_batch(net, state, dlogits)
+    g_blocked = np.repeat((dlogits @ net.head_w.T)[:, None, :], 64, axis=1) / 64
+    g_act = g_blocked
+    if cfg is not None:
+        g_act, _ = blocks.block_backward_batch(state["tapes"], cfg, net.block_params, g_blocked)
+    assert rel(grads["head_b"], dlogits.sum(axis=0)) <= 1e-13
+    assert rel(grads["conv_b"], g_act.sum(axis=(0, 1))) <= 1e-13
 
 
 def test_baseline_act_changes_only_locally():
