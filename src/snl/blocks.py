@@ -10,6 +10,9 @@ stack and returns the output with a ``Tape`` of intermediates, which
 The core carries plain arrays: it validates the input stack and the
 upstream gradient where they enter and checks that the output is finite,
 and wraps an affinity in ``AffinityMatrix`` only in ``build_block_affinity``.
+Each tile of a batched forward is one call of ``_forward_stack``, which the
+oracles (``gradcheck``, ``verify``) also call directly with a
+``_ParamStack``, one set of parameters per sample, and no validation.
 ``block_forward`` and ``block_backward`` are B=1 calls on a ``FeatureMap``;
 ``block_forward`` holds its tape for a ``block_backward`` whose arguments
 match byte for byte. The forward and ``generalized_forward`` evaluate the
@@ -140,6 +143,17 @@ class BlockParams:
         return out
 
 
+class _ParamStack(NamedTuple):
+    """A block's parameter arrays as (b, rows, cols) stacks, one set per
+    sample, or as one sample's matrices, read where ``BlockParams`` is
+    read; unlike ``BlockParams`` they are not validated."""
+
+    w_phi: np.ndarray
+    w_psi: np.ndarray
+    w_z: np.ndarray
+    filters: dict[str, np.ndarray]
+
+
 def check_params(cfg: BlockConfig, params: BlockParams) -> None:
     proj = (cfg.c_in, cfg.c_s)
     for name in ("w_phi", "w_psi", "w_z"):
@@ -169,15 +183,24 @@ def init_params(cfg: BlockConfig, rng: np.random.Generator) -> BlockParams:
 def random_params(cfg: BlockConfig, rng: np.random.Generator) -> BlockParams:
     """All parameter matrices drawn uniform in [-0.5/sqrt(C1), 0.5/sqrt(C1)];
     used by gradient checks."""
+    return BlockParams(*_random_arrays(cfg, rng))
+
+
+def _random_arrays(cfg: BlockConfig, rng: np.random.Generator) -> tuple:
+    """The raw arrays of ``random_params``, (w_phi, w_psi, w_z, filters), in
+    its draw order: the filters first, then the three projections. They
+    come from one uniform draw, which takes the same values from ``rng``
+    as one draw per array in that order."""
     bound = 0.5 / np.sqrt(cfg.c_in)
-    draw = lambda shape: rng.uniform(-bound, bound, size=shape)
-    filters = {r: draw(filter_shape(cfg)) for r in filter_roles(cfg)}
-    return BlockParams(
-        draw((cfg.c_in, cfg.c_s)),
-        draw((cfg.c_in, cfg.c_s)),
-        draw((cfg.c_in, cfg.c_s)),
-        filters,
-    )
+    roles = filter_roles(cfg)
+    shapes = [filter_shape(cfg)] * len(roles) + [(cfg.c_in, cfg.c_s)] * 3
+    flat = rng.uniform(-bound, bound, size=sum(rows * cols for rows, cols in shapes))
+    arrays, start = [], 0
+    for rows, cols in shapes:
+        arrays.append(flat[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    *filters, w_phi, w_psi, w_z = arrays
+    return w_phi, w_psi, w_z, dict(zip(roles, filters))
 
 
 def save_params(params: BlockParams, out_dir: str) -> None:
@@ -485,17 +508,27 @@ def block_forward_batch(
     """
     check_params(cfg, params)
     xv = _check_stack(values, height, width)
-    n = height * width
-    tapes, fs = [], []
-    for tile in _tiles(xv.shape[0], cfg, n):
-        t = _build_affinity(xv[tile], height, width, cfg, params)
-        f, t.powers = _filter(cfg, params, _affinity(t, cfg), t.z_node, n)
+    ys, tapes = [], []
+    for tile in _tiles(xv.shape[0], cfg, height * width):
+        y, t = _forward_stack(xv[tile], height, width, cfg, params)
+        ys.append(y)
         tapes.append(t)
-        fs.append(f)
-    y = xv + np.concatenate(fs)
+    y = np.concatenate(ys)
     if not np.isfinite(y).all():
         raise NumericError("block output contains non-finite entries")
     return y, tapes
+
+
+def _forward_stack(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams, a=None):
+    """Y = X + F(A, Z) of a validated (b, N, C_in) stack as one core call,
+    and its tape. ``params`` may be a ``_ParamStack``, one set of arrays
+    per sample; ``a``, if given, is applied in place of the stack's own
+    affinity (a frozen A). Nothing is validated or checked for finiteness,
+    so the oracles run (b, ...) stacks of probes or draws through it."""
+    t = _build_affinity(xv, height, width, cfg, params)
+    a = _affinity(t, cfg) if a is None else a
+    f, t.powers = _filter(cfg, params, a, t.z_node, height * width)
+    return xv + f, t
 
 
 def build_block_affinity(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> AffinityMatrix:
@@ -506,7 +539,13 @@ def build_block_affinity(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -
     check_params(cfg, params)
     t = _build_affinity(_check_stack(x.values[None], x.height, x.width), x.height, x.width,
                         cfg, params)
-    m = AffinityMatrix(t.m[0])
+    return _dense_affinity(t.m[0], cfg)
+
+
+def _dense_affinity(m: np.ndarray, cfg: BlockConfig) -> AffinityMatrix:
+    """The dense A of a kernel M, or of a (b, V, V) stack of them, on the
+    public graph route of ``build_block_affinity``."""
+    m = AffinityMatrix(m)
     mode = _RECIPES[cfg.variant].normalization
     if mode == "symmetric":
         m = graph.symmetrize(m)
@@ -671,7 +710,7 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     for k, role, sign in terms:
         contrib = sign * (_rows(read(tape.powers[k])).T @ _rows(g))
         per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
-        r = unread(g @ (sign * params.filters[role]).T)
+        r = unread((_rows(g) @ (sign * params.filters[role]).T).reshape(g.shape[:-1] + (-1,)))
         g_p[k] = r if g_p[k] is None else g_p[k] + r
     a_t = _affinity(tape, cfg).T
     a_t_g = [None] * (top + 1)
@@ -716,6 +755,9 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
     for name, source in (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z")):
         if source in grads:
             per_tile[name] = x_rows.T @ _rows(grads[source])
+            # not as a row block: psi's gradient, and z's under a random
+            # walk, is a transposed view, which _rows would copy; copied, a
+            # B=32 NL backward read 600 us against 570 us as it is
             term = grads[source] @ getattr(params, name).T
             into_x = term if into_x is None else into_x + term
     if into_x is not None:

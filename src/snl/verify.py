@@ -3,6 +3,11 @@
 Each group re-derives an expected result through an independent route
 (explicit eigendecomposition, enumeration, closed forms) and checks the
 production path against it. The CLI ``verify`` subcommand runs them all.
+The block groups draw raw arrays, in the order ``blocks.random_params``
+draws them, and run each group's samples (per variant, where the group
+spans variants) as one stack through the block core; the closed forms
+they check against stay per sample. No group calls the B=1
+``block_forward``, so a run leaves no tape held.
 """
 
 import numpy as np
@@ -26,10 +31,25 @@ def _random_affinity(rng, n: int, mode: str, c_s: int = 3) -> AffinityMatrix:
 
 
 def _random_block_inputs(rng, cfg: BlockConfig, height=3, width=3):
-    n = height * width
-    x = FeatureMap(height, width, cfg.c_in, rng.normal(size=(n, cfg.c_in)))
-    params = blocks.random_params(cfg, rng)
-    return x, params
+    """One draw of a block's (N, C_in) input and raw parameter arrays: the
+    input first, then the arrays of ``blocks.random_params`` in its order."""
+    return rng.normal(size=(height * width, cfg.c_in)), blocks._random_arrays(cfg, rng)
+
+
+def _stacked(draws) -> tuple[np.ndarray, "blocks._ParamStack"]:
+    """The inputs and parameters of (x, arrays) draws as (b, ...) stacks,
+    which the block core takes in one call; nothing is validated per draw."""
+    xs, arrays = zip(*draws)
+    w_phi, w_psi, w_z, filters = zip(*arrays)
+    return np.stack(xs), blocks._ParamStack(
+        np.stack(w_phi), np.stack(w_psi), np.stack(w_z),
+        {role: np.stack([f[role] for f in filters]) for role in filters[0]})
+
+
+def _sample(params: "blocks._ParamStack", i: int) -> "blocks._ParamStack":
+    """Sample i's parameter matrices of a parameter stack."""
+    return blocks._ParamStack(params.w_phi[i], params.w_psi[i], params.w_z[i],
+                              {role: w[i] for role, w in params.filters.items()})
 
 
 def check_matmul_associativity():
@@ -255,58 +275,66 @@ def check_unification():
     worst = 0.0
     for variant in blocks.VARIANTS:
         cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
-        for _ in range(3):
-            x, params = _random_block_inputs(rng, cfg, height=3, width=4)
-            got = blocks.block_forward(x, cfg, params).values
-            worst = max(worst, linalg.rel_error(got, _table1_forward(cfg, x, params)))
+        xs, params = _stacked([_random_block_inputs(rng, cfg, height=3, width=4)
+                               for _ in range(3)])
+        ys, _ = blocks._forward_stack(xs, 3, 4, cfg, params)
+        for i, x in enumerate(xs):
+            want = _table1_forward(cfg, FeatureMap(3, 4, cfg.c_in, x), _sample(params, i))
+            worst = max(worst, linalg.rel_error(ys[i], want))
     return worst <= 1e-12, f"max block-vs-Table-1 rel error {worst:.3e}"
 
 
 def check_tied_weight_identities():
     rng = _rng(22)
     worst = 0.0
-    for _ in range(3):
-        cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
-        x, params = _random_block_inputs(rng, cfg)
-        _, (t,) = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
-        w = params.filters["w"]
-        a = blocks.build_block_affinity(x, cfg, params).values
-        nl = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, x.n_positions)[0][0]
-        cheb = blocks.generalized_forward(a, t.z[0], [np.zeros_like(w), w])
-        if not np.array_equal(nl, cheb):
-            worst = max(worst, linalg.rel_error(nl, cheb))
-        cfg_ns = BlockConfig(variant="NS", c_in=4, c_s=2)
-        params.filters = {"w": w}
-        ns = blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node,
-                            x.n_positions)[0][0]
-        cheb_ns = blocks.generalized_forward(a, t.z[0], [-w, w])
-        if not np.array_equal(ns, cheb_ns):
-            worst = max(worst, linalg.rel_error(ns, cheb_ns))
+    cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
+    cfg_ns = BlockConfig(variant="NS", c_in=4, c_s=2)
+    xs, params = _stacked([_random_block_inputs(rng, cfg) for _ in range(3)])
+    _, t = blocks._forward_stack(xs, 3, 3, cfg, params)
+    a = blocks._dense_affinity(t.m, cfg).values
+    n = xs.shape[1]
+    nl = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, n)[0]
+    ns = blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node, n)[0]
+    for i, w in enumerate(params.filters["w"]):
+        cheb = blocks.generalized_forward(a[i], t.z[i], [np.zeros_like(w), w])
+        if not np.array_equal(nl[i], cheb):
+            worst = max(worst, linalg.rel_error(nl[i], cheb))
+        cheb_ns = blocks.generalized_forward(a[i], t.z[i], [-w, w])
+        if not np.array_equal(ns[i], cheb_ns):
+            worst = max(worst, linalg.rel_error(ns[i], cheb_ns))
     return worst <= 1e-12, f"max tied-weight rel error {worst:.3e}"
+
+
+def _block_affinities(cfg: BlockConfig, xs: np.ndarray, params) -> np.ndarray:
+    """The dense affinities of a stack of 3x3 inputs, on the public graph
+    route of ``blocks.build_block_affinity``."""
+    return blocks._dense_affinity(blocks._build_affinity(xs, 3, 3, cfg, params).m, cfg).values
 
 
 def check_snl_symmetry():
     rng = _rng(23)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
-    for _ in range(20):
-        x, params = _random_block_inputs(rng, cfg)
-        a = blocks.build_block_affinity(x, cfg, params)
-        if not np.array_equal(a.values, a.values.T):
-            return False, "SNL affinity not exactly symmetric"
-    linalg.eigh(a.values)  # must not raise
+    a = _block_affinities(cfg, *_stacked([_random_block_inputs(rng, cfg) for _ in range(20)]))
+    if not np.array_equal(a, a.swapaxes(-1, -2)):
+        return False, "SNL affinity not exactly symmetric"
+    linalg.eigh(a[-1])  # must not raise
     # the motivating defect: random-walk normalization is not symmetric
-    asym = 0
     cfg_nl = BlockConfig(variant="NL", c_in=4, c_s=2, kernel="dot")
+    draws = []
     for _ in range(20):
-        x, _ = _random_block_inputs(rng, cfg_nl)
-        x = FeatureMap(x.height, x.width, x.channels, np.abs(x.values))
-        params = blocks.random_params(cfg_nl, rng)
-        params.w_phi = np.abs(params.w_phi)
-        params.w_psi = np.abs(params.w_psi)
-        a_nl = blocks.build_block_affinity(x, cfg_nl, params)
-        if float(np.max(np.abs(a_nl.values - a_nl.values.T))) > 1e-12:
-            asym += 1
+        x, _ = _random_block_inputs(rng, cfg_nl)  # the parameters used are the next draw
+        w_phi, w_psi, w_z, filters = blocks._random_arrays(cfg_nl, rng)
+        draws.append((np.abs(x), (np.abs(w_phi), np.abs(w_psi), w_z, filters)))
+    a_nl = _block_affinities(cfg_nl, *_stacked(draws))
+    asym = int(np.sum(np.max(np.abs(a_nl - a_nl.swapaxes(-1, -2)), axis=(1, 2)) > 1e-12))
     return asym >= 18, f"SNL symmetric; NL asymmetric on {asym}/20 dot-kernel inputs"
+
+
+def _equivariance_error(cfg: BlockConfig, x, arrays, perm, height=3, width=3) -> float:
+    """max |f(P x) - P f(x)| of one block, with x and P x as one stack."""
+    y, _ = blocks._forward_stack(np.stack([x, x[perm]]), height, width, cfg,
+                                 blocks._ParamStack(*arrays))
+    return float(np.max(np.abs(y[1] - y[0][perm])))
 
 
 def check_block_equivariance():
@@ -314,20 +342,13 @@ def check_block_equivariance():
     worst = 0.0
     for variant in ("NL", "NS", "A2", "SNL", "SNL_A1", "SNL_A2"):
         cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
-        x, params = _random_block_inputs(rng, cfg)
-        perm = rng.permutation(x.n_positions)
-        y = blocks.block_forward(x, cfg, params).values
-        xp = FeatureMap(x.height, x.width, x.channels, x.values[perm])
-        yp = blocks.block_forward(xp, cfg, params).values
-        worst = max(worst, float(np.max(np.abs(yp - y[perm]))))
+        x, arrays = _random_block_inputs(rng, cfg)
+        worst = max(worst, _equivariance_error(cfg, x, arrays, rng.permutation(len(x))))
     # CC: only grid-structure-preserving permutations (row/column swaps)
     cfg = BlockConfig(variant="CC", c_in=4, c_s=2)
-    x, params = _random_block_inputs(rng, cfg, height=3, width=4)
+    x, arrays = _random_block_inputs(rng, cfg, height=3, width=4)
     grid_perm = np.arange(12).reshape(3, 4)[[1, 0, 2], :][:, [0, 1, 3, 2]].ravel()
-    y = blocks.block_forward(x, cfg, params).values
-    xp = FeatureMap(3, 4, 4, x.values[grid_perm])
-    yp = blocks.block_forward(xp, cfg, params).values
-    worst = max(worst, float(np.max(np.abs(yp - y[grid_perm]))))
+    worst = max(worst, _equivariance_error(cfg, x, arrays, grid_perm, 3, 4))
     return worst <= 1e-10, f"max equivariance error {worst:.3e}"
 
 
@@ -335,10 +356,10 @@ def check_block_shapes():
     rng = _rng(25)
     for variant in blocks.VARIANTS:
         cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
-        x, params = _random_block_inputs(rng, cfg)
-        y = blocks.block_forward(x, cfg, params)
-        if y.values.shape != x.values.shape:
-            return False, f"{variant}: output {y.values.shape} != input {x.values.shape}"
+        x, params = _stacked([_random_block_inputs(rng, cfg)])
+        y, _ = blocks._forward_stack(x, 3, 3, cfg, params)
+        if y.shape != x.shape:
+            return False, f"{variant}: output {y[0].shape} != input {x[0].shape}"
     return True, "output shape equals input shape for all variants"
 
 

@@ -39,6 +39,16 @@ def test_verify_filter_selects_each_group_alone():
         assert results[0]["passed"], results[0]["detail"]
 
 
+def test_verify_holds_no_tape(monkeypatch):
+    # the groups run their samples as stacks and never call the B=1
+    # block_forward, whose tape would stay held for later callers
+    monkeypatch.setattr(blocks, "_held", None)
+    honest, calls = blocks.block_forward, []
+    monkeypatch.setattr(blocks, "block_forward", lambda *a: calls.append(a) or honest(*a))
+    assert all(r["passed"] for r in verify.run_verify())
+    assert calls == [] and blocks._held is None
+
+
 def test_gradcheck_single_variant(tmp_path, capsys):
     code = cli.run(["gradcheck", "--variant", "NL", "--out", str(tmp_path)])
     assert code == 0

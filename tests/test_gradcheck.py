@@ -12,11 +12,12 @@ from snl.errors import ConfigError, NumericError, ShapeError
 
 
 def test_finite_diff_quadratic_exact():
-    # the loss takes the (2P, 2, 2) probe stack and returns its 2P losses
+    # the loss takes a list of one (2P, 2, 2) probe stack and returns its 2P
+    # losses
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
     point = np.array([[1.0, 2.0], [3.0, 4.0]])
-    loss = lambda xs: np.sum(a * xs * xs, axis=(1, 2))
-    got = gradcheck.finite_diff(loss, point, 1e-5)
+    loss = lambda xs: np.sum(a * xs[0] * xs[0], axis=(1, 2))
+    (got,) = gradcheck.finite_diff(loss, [point], 1e-5)
     assert np.max(np.abs(got - 2.0 * a * point)) < 1e-8
 
 
@@ -26,39 +27,76 @@ def test_finite_diff_probe_stack_order():
     seen = []
 
     def loss(xs):
-        seen.append(xs.copy())
-        return np.zeros(len(xs))
+        seen.append(xs[0].copy())
+        return np.zeros(len(xs[0]))
 
-    gradcheck.finite_diff(loss, point, 0.5)
+    gradcheck.finite_diff(loss, [point], 0.5)
     assert len(seen) == 1
     bump = 0.5 * np.eye(3).reshape(3, 1, 3)
     np.testing.assert_array_equal(seen[0], np.concatenate([point + bump, point - bump]))
 
 
+def test_finite_diff_probes_every_point_in_order():
+    # one stack per point: point 0's +eps and -eps probes, then point 1's;
+    # a row holds each point that it does not probe at its base value
+    a, b = np.array([1.0, 2.0]), np.array([[5.0], [6.0], [7.0]])
+    seen = []
+
+    def loss(xs):
+        seen.append([x.copy() for x in xs])
+        return np.sum(xs[0] ** 2, axis=1) + 3.0 * np.sum(xs[1], axis=(1, 2))
+
+    da, db = gradcheck.finite_diff(loss, [a, b], 0.5)
+    (xa, xb), = seen
+    bump_a, bump_b = 0.5 * np.eye(2), 0.5 * np.eye(3)[:, :, None]
+    np.testing.assert_array_equal(xa, np.concatenate([a + bump_a, a - bump_a, np.tile(a, (6, 1))]))
+    np.testing.assert_array_equal(
+        xb, np.concatenate([np.tile(b, (4, 1, 1)), b + bump_b, b - bump_b]))
+    np.testing.assert_array_equal(da, 2.0 * a)
+    np.testing.assert_array_equal(db, np.full((3, 1), 3.0))
+
+
+def test_finite_diff_takes_a_list_of_points():
+    with pytest.raises(TypeError):
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0])), np.zeros((2, 2)), 1e-5)
+
+
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), np.zeros(2), 0.0)
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0])), [np.zeros(2)], 0.0)
 
 
 def test_finite_diff_nonfinite_loss():
     with pytest.raises(NumericError):
-        gradcheck.finite_diff(lambda xs: np.full(len(xs), np.nan), np.zeros(2), 1e-5)
+        gradcheck.finite_diff(lambda xs: np.full(len(xs[0]), np.nan), [np.zeros(2)], 1e-5)
 
 
 def test_finite_diff_names_the_first_bad_entry():
     # entry 3's minus probe and entry 1's plus probe are non-finite: entry 1
     def loss(xs):
-        out = np.zeros(len(xs))
+        out = np.zeros(len(xs[0]))
         out[[1, 5 + 3]] = [np.inf, np.nan]
         return out
 
     with pytest.raises(NumericError, match="entry 1$"):
-        gradcheck.finite_diff(loss, np.zeros(5), 1e-5)
+        gradcheck.finite_diff(loss, [np.zeros(5)], 1e-5)
+
+
+def test_finite_diff_names_the_point_of_the_first_bad_entry():
+    # probes 0-3 are point 0's, 4-9 point 1's: probe 8 is the minus probe
+    # of point 1's entry 1
+    def loss(xs):
+        out = np.zeros(len(xs[0]))
+        out[8] = np.nan
+        return out
+
+    with pytest.raises(NumericError, match="point 1, perturbed entry 1$"):
+        gradcheck.finite_diff(loss, [np.zeros(2), np.zeros(3)], 1e-5)
 
 
 def test_finite_diff_rejects_a_loss_of_the_wrong_shape():
     with pytest.raises(ShapeError):
-        gradcheck.finite_diff(lambda xs: np.zeros(len(xs) - 1), np.zeros(3), 1e-5)
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0]) - 1), [np.zeros(3)], 1e-5)
 
 
 # Each (variant, kernel) on a square and a non-square grid; without
@@ -149,8 +187,8 @@ def probes_per_call(cfg, height, width):
 
 @pytest.mark.parametrize("backprop", [False, True])
 def test_probes_run_on_the_batched_core(monkeypatch, backprop):
-    # one base forward, then each checked array's probes as one stacked core
-    # call per chunk; the analytic side reads the base forward's tapes: the
+    # one base forward, then the probes of every checked array as one
+    # stacked core call per chunk; the analytic side reads the base forward's tapes: the
     # B=1 block_forward and block_backward, which key, copy, hold or rebuild
     # a tape, are never called, and no tape is held when the check returns
     # (none is held when it starts, whatever an earlier test left)
@@ -166,17 +204,16 @@ def test_probes_run_on_the_batched_core(monkeypatch, backprop):
 
         monkeypatch.setattr(blocks, name, counted)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3, backprop_affinity=backprop)
-    # the default budget puts each array's probes in one call; 3000 bytes
-    # puts at most 4 (9, 9) kernels in one
-    for tile_bytes in (blocks.TILE_BYTES, 3000):
+    # the default budget puts all 152 probes in one call; 3000 bytes puts
+    # at most 4 (9, 9) kernels in one, so 38 calls
+    for tile_bytes, builds in ((blocks.TILE_BYTES, 2), (3000, 39)):
         monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
         calls.update(dict.fromkeys(names, 0))
         reports = gradcheck.check_block_gradients(cfg, seed=0)
-        per_call = probes_per_call(cfg, 3, 3)
-        chunks = [-(-2 * r.checked_entries // per_call) for r in reports]
+        probes = 2 * sum(r.checked_entries for r in reports)
+        assert probes == 152
         assert calls["block_forward_batch"] == 1
-        assert calls["_build_affinity"] == 1 + sum(chunks)
-        assert (max(chunks) > 1) == (tile_bytes == 3000)
+        assert calls["_build_affinity"] == 1 + -(-probes // probes_per_call(cfg, 3, 3)) == builds
         assert calls["block_forward"] == calls["block_backward"] == 0
         assert blocks._held is None
 
@@ -233,7 +270,8 @@ def batched_differences(monkeypatch, cfg, seed, height, width):
     monkeypatch.setattr(gradcheck, "finite_diff", recorded)
     reports = gradcheck.check_block_gradients(cfg, seed, height=height, width=width)
     monkeypatch.setattr(gradcheck, "finite_diff", honest)
-    return reports, dict(zip([r.parameter for r in reports], taken))
+    assert len(taken) == 1  # one call takes every array's differences
+    return reports, dict(zip([r.parameter for r in reports], taken[0]))
 
 
 BIT_CASES = [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
@@ -254,8 +292,8 @@ def test_stacked_probes_match_one_probe_calls_bitwise(monkeypatch, variant, kern
 
 
 def test_chunked_probes_give_identical_reports(monkeypatch):
-    # 3000 bytes holds at most 4 (9, 9) kernels, so the 72 probes of x take
-    # 18 core calls and the 16 of each parameter 4
+    # 3000 bytes holds at most 4 (9, 9) kernels, so the 168 probes of the
+    # input and every parameter take 42 core calls
     cfg = BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=3)
     whole, whole_diffs = batched_differences(monkeypatch, cfg, 5, 3, 3)
     monkeypatch.setattr(blocks, "TILE_BYTES", 3000)
@@ -310,12 +348,12 @@ def test_probe_parts_keep_the_stack_order(monkeypatch):
     seen = []
 
     def loss(xs):
-        seen.append(xs.copy())
-        return np.sum(xs * xs, axis=1)
+        seen.append(xs[0].copy())
+        return np.sum(xs[0] * xs[0], axis=1)
 
-    whole = gradcheck.finite_diff(loss, point, 0.5)
+    (whole,) = gradcheck.finite_diff(loss, [point], 0.5)
     monkeypatch.setattr(gradcheck, "_PROBE_PART_BYTES", 48)
-    parts = gradcheck.finite_diff(loss, point, 0.5)
+    (parts,) = gradcheck.finite_diff(loss, [point], 0.5)
     assert [len(xs) for xs in seen] == [6, 2, 2, 2]
     np.testing.assert_array_equal(np.concatenate(seen[1:]), seen[0])
     np.testing.assert_array_equal(parts, whole)
