@@ -188,19 +188,12 @@ def random_params(cfg: BlockConfig, rng: np.random.Generator) -> BlockParams:
 
 def _random_arrays(cfg: BlockConfig, rng: np.random.Generator) -> tuple:
     """The raw arrays of ``random_params``, (w_phi, w_psi, w_z, filters), in
-    its draw order: the filters first, then the three projections. They
-    come from one uniform draw, which takes the same values from ``rng``
-    as one draw per array in that order."""
+    its draw order: the filters first, then the three projections."""
     bound = 0.5 / np.sqrt(cfg.c_in)
-    roles = filter_roles(cfg)
-    shapes = [filter_shape(cfg)] * len(roles) + [(cfg.c_in, cfg.c_s)] * 3
-    flat = rng.uniform(-bound, bound, size=sum(rows * cols for rows, cols in shapes))
-    arrays, start = [], 0
-    for rows, cols in shapes:
-        arrays.append(flat[start:start + rows * cols].reshape(rows, cols))
-        start += rows * cols
-    *filters, w_phi, w_psi, w_z = arrays
-    return w_phi, w_psi, w_z, dict(zip(roles, filters))
+    draw = lambda shape: rng.uniform(-bound, bound, size=shape)
+    filters = {r: draw(filter_shape(cfg)) for r in filter_roles(cfg)}
+    proj = (cfg.c_in, cfg.c_s)
+    return draw(proj), draw(proj), draw(proj), filters
 
 
 def save_params(params: BlockParams, out_dir: str) -> None:

@@ -1,18 +1,18 @@
 """Finite-difference oracle for the analytic block gradients.
 
-``finite_diff`` builds the probes of a list of arrays, x + eps e_i and
-then x - eps e_i for each entry i of one array and then of the next, and
-hands a batched loss one (b, ...) stack per array, part by part: a row
-that probes one array holds every other at its base value. Parts hold at
-most ``_PROBE_PART_BYTES`` of stacks, one part for every case of the
-CLI's grids. ``check_block_gradients`` validates its input and parameters
-once, in a base ``block_forward_batch``, and then runs the probes of the
-input and of every parameter through the block core's stacked entry
-``blocks._forward_stack``, in chunks whose (b, V, V) kernels hold at most
-1 MiB and never more than ``blocks.TILE_BYTES``: one core call per case on
-the CLI's 3x3 grid. Each probe's loss is summed over that probe's output
-alone, so the differences are the ones a one-probe call per entry gives,
-bit for bit.
+``finite_diff`` builds the probes of one array, x + eps e_i and then
+x - eps e_i for each entry i, as stacks of at most ``_PROBE_PART_BYTES``
+and hands each to a batched loss. ``check_block_gradients`` validates its
+input and parameters once, in a base ``block_forward_batch``, and then
+takes the differences of the input and every parameter in one
+``finite_diff`` call on them laid end to end: its loss cuts each probe
+row back into the arrays and runs the probes through the block core's
+stacked entry ``blocks._forward_stack`` with one set of parameters per
+probe. A stack is split into chunks whose (b, V, V) kernels hold at most
+1 MiB, and never more than ``blocks.TILE_BYTES``: one core call per check
+on the CLI's 3x3 grid. Each probe's loss is summed over that probe's
+output alone, so the differences are the ones a one-probe call per entry
+gives, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -52,60 +52,40 @@ class GradReport:
     passed: bool
 
 
-def finite_diff(loss_fn, points, eps: float) -> list[np.ndarray]:
+def finite_diff(loss_fn, point: np.ndarray, eps: float) -> np.ndarray:
     """Central differences (f(x + eps e_i) - f(x - eps e_i)) / 2 eps of
-    every entry i of each of ``points``, one array per point.
+    every entry i of ``point``.
 
-    ``loss_fn`` takes one (b, *point.shape) stack per point and returns
-    the b losses of its rows. Row r of every stack holds that point, except
-    in the stack of the point that row r probes, whose entry i it bumps.
-    Probes come in this order: x + eps e_i of point 0 for each i in index
-    order, then x - eps e_i in the same order, then those of point 1, and
-    so on. They reach the loss in consecutive parts of at most
-    ``_PROBE_PART_BYTES`` of stacks (at least one probe each). A non-finite
-    loss raises ``NumericError`` naming the first point and entry whose
-    probes gave one.
+    ``loss_fn`` takes a (b, *point.shape) stack of probes and returns
+    their b losses. The 2P probes of the P entries, x + eps e_i for each i
+    in index order and then x - eps e_i in the same order, go to it in
+    that order in consecutive parts of at most ``_PROBE_PART_BYTES`` (at
+    least one probe each). A non-finite loss raises ``NumericError``
+    naming the first entry whose probes gave one.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if isinstance(points, np.ndarray):  # its rows would pass for the points
-        raise TypeError("points must be a sequence of arrays; wrap one array in a list")
-    points = [np.asarray(point, dtype=np.float64) for point in points]
-    flats = [point.ravel() for point in points]
-    sizes = np.array([flat.size for flat in flats])
-    base = np.concatenate(flats)
-    offset = np.concatenate([[0], np.cumsum(sizes)])  # point j's entries in base
-    # probe r of point j bumps its entry i = (r - 2 offset[j]) mod P_j,
-    # entry offset[j] + i of base, by +eps in its first P_j probes and by
-    # -eps in the next P_j (x + (-eps) is x - eps to the bit)
-    j = np.repeat(np.arange(len(points)), 2 * sizes)
-    i = np.arange(2 * base.size) - 2 * offset[j]
-    column = offset[j] + i % sizes[j]
-    bumped = base[column] + np.where(i < sizes[j], eps, -eps)
-    per_part = max(1, _PROBE_PART_BYTES // (8 * base.size))
+    point = np.asarray(point, dtype=np.float64)
+    flat = point.ravel()
+    n = flat.size
+    per_part = max(1, _PROBE_PART_BYTES // (8 * n))
+    # probe k bumps entry k mod n, by +eps for k < n and by -eps after
+    bumped = np.concatenate([flat + eps, flat - eps])
     losses = []
-    for start in range(0, len(column), per_part):
-        rows = slice(start, start + per_part)
-        probes = np.repeat(base[None], len(column[rows]), axis=0)
-        probes[np.arange(len(probes)), column[rows]] = bumped[rows]
-        stacks = [probes[:, first:stop].reshape((len(probes),) + point.shape)
-                  for first, stop, point in zip(offset, offset[1:], points)]
-        part = np.asarray(loss_fn(stacks), dtype=np.float64)
-        if part.shape != (len(probes),):
-            raise ShapeError(f"loss of {len(probes)} probes returned shape {part.shape}")
+    for start in range(0, 2 * n, per_part):
+        k = np.arange(start, min(start + per_part, 2 * n))
+        probes = np.tile(flat, (len(k), 1))
+        probes[np.arange(len(k)), k % n] = bumped[k]
+        part = np.asarray(loss_fn(probes.reshape((len(k),) + point.shape)), dtype=np.float64)
+        if part.shape != (len(k),):
+            raise ShapeError(f"loss of {len(k)} probes returned shape {part.shape}")
         losses.append(part)
     losses = np.concatenate(losses)
-    # the probes x + eps e_i and x - eps e_i of entry e of base, point j's
-    # entry i = e - offset[j], are probes 2 offset[j] + i and that + P_j
-    plus = np.repeat(offset[:-1], sizes) + np.arange(base.size)
-    hi, lo = losses[plus], losses[plus + np.repeat(sizes, sizes)]
+    hi, lo = losses[:n], losses[n:]
     bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
     if bad.size:
-        j = np.searchsorted(offset, bad[0], side="right") - 1
-        raise NumericError(f"loss is non-finite at point {j}, perturbed entry {bad[0] - offset[j]}")
-    diffs = (hi - lo) / (2.0 * eps)
-    return [diffs[first:stop].reshape(point.shape)
-            for first, stop, point in zip(offset, offset[1:], points)]
+        raise NumericError(f"loss is non-finite at perturbed entry {bad[0]}")
+    return ((hi - lo) / (2.0 * eps)).reshape(point.shape)
 
 
 # A central difference of a loss L carries round-off near u |L| / eps, with
@@ -123,12 +103,10 @@ def error_floor(loss_value: float, eps: float, tolerance: float) -> float:
     return max(1e-8, noise / tolerance)
 
 
-def _rel_errors(analytic: np.ndarray, numeric: np.ndarray, floor: float, starts):
-    """Largest absolute and relative error of each run of the flat arrays
-    that begins at one of ``starts``."""
+def _rel_errors(analytic: np.ndarray, numeric: np.ndarray, floor: float) -> tuple[float, float]:
     abs_err = np.abs(analytic - numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    return np.maximum.reduceat(abs_err, starts), np.maximum.reduceat(abs_err / denom, starts)
+    return float(np.max(abs_err)), float(np.max(abs_err / denom))
 
 
 def check_block_gradients(
@@ -146,7 +124,9 @@ def check_block_gradients(
     (backprop_affinity=False) the finite-difference loss holds A at its
     base-point value so both sides differentiate the same function. The
     relative error of each entry divides by at least ``error_floor`` of
-    the base-point loss. ``tolerance`` must be finite and positive.
+    the base-point loss. ``tolerance`` must be finite and positive. A
+    non-finite probe loss raises ``finite_diff``'s ``NumericError``, whose
+    entry counts through x and then each array of ``params.items()``.
     """
     if not 0.0 < tolerance < np.inf:
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
@@ -160,14 +140,18 @@ def check_block_gradients(
     budget = min(blocks.TILE_BYTES, _PROBE_CALL_BYTES)
     per_call = max(1, budget // (8 * blocks._vertices(cfg, n) ** 2))
     points = [("x", x), *params.items()]
+    ends = np.cumsum([point.size for _, point in points])
     roles = list(params.filters)
 
-    def losses(stacks: list[np.ndarray]) -> np.ndarray:
-        """The loss of each probe row, given a stack of the input and of
-        every parameter, in ``points`` order."""
+    def losses(probes: np.ndarray) -> np.ndarray:
+        """The loss of each probe, a row of the input and every parameter
+        laid end to end in ``points`` order."""
         out = []
-        for start in range(0, len(stacks[0]), per_call):
-            xv, w_phi, w_psi, w_z, *filters = (s[start:start + per_call] for s in stacks)
+        for start in range(0, len(probes), per_call):
+            chunk = probes[start:start + per_call]
+            xv, w_phi, w_psi, w_z, *filters = (
+                chunk[:, stop - point.size:stop].reshape((len(chunk),) + point.shape)
+                for (_, point), stop in zip(points, ends))
             p = blocks._ParamStack(w_phi, w_psi, w_z, dict(zip(roles, filters)))
             ys, _ = blocks._forward_stack(xv, height, width, cfg, p, frozen_a)
             # one row per probe: the row sums round as np.sum of each probe's
@@ -178,13 +162,12 @@ def check_block_gradients(
     grad_x, grad_params = blocks.block_backward_batch(tapes, cfg, params, 2.0 * y)
     analytic = {"x": grad_x[0], **grad_params}
     floor = error_floor(float(np.sum(y[0] ** 2)), _EPS, tolerance)
-    numeric = finite_diff(losses, [point for _, point in points], _EPS)
-    flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])
-    sizes = [point.size for _, point in points]
-    abs_err, rel_err = _rel_errors(flat(analytic[name] for name, _ in points), flat(numeric),
-                                   floor, np.cumsum([0] + sizes[:-1]))
-    return [GradReport(name, float(a), float(r), size, float(r) <= tolerance)
-            for (name, _), a, r, size in zip(points, abs_err, rel_err, sizes)]
+    numeric = finite_diff(losses, np.concatenate([point.ravel() for _, point in points]), _EPS)
+    reports = []
+    for (name, point), diffs in zip(points, np.split(numeric, ends[:-1])):
+        abs_err, rel_err = _rel_errors(analytic[name], diffs.reshape(point.shape), floor)
+        reports.append(GradReport(name, abs_err, rel_err, point.size, rel_err <= tolerance))
+    return reports
 
 
 def format_report_table(reports: list[GradReport]) -> str:

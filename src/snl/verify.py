@@ -5,15 +5,22 @@ Each group re-derives an expected result through an independent route
 production path against it. The CLI ``verify`` subcommand runs them all.
 The block groups draw raw arrays, in the order ``blocks.random_params``
 draws them, and run each group's samples (per variant, where the group
-spans variants) as one stack through the block core; the closed forms
-they check against stay per sample. No group calls the B=1
-``block_forward``, so a run leaves no tape held.
+spans variants) as one stack through the block core's private entry
+``blocks._forward_stack``, with one set of unvalidated parameters per
+sample; the closed forms they check against stay per sample. A
+non-finite block output raises ``NumericError``, as
+``block_forward_batch`` does. No group calls the B=1 ``block_forward``,
+so a run leaves no tape held. The production entry, with validated
+``BlockParams`` shared across a batch, is checked against single samples
+and Table 1 in the tests (``test_batched_core_matches_single_samples``,
+``test_criterion_4_unification_table``).
 """
 
 import numpy as np
 
 from . import blocks, graph, linalg, spectral
 from .blocks import BlockConfig
+from .errors import NumericError
 from .graph import AffinityMatrix, FeatureMap
 
 
@@ -44,6 +51,20 @@ def _stacked(draws) -> tuple[np.ndarray, "blocks._ParamStack"]:
     return np.stack(xs), blocks._ParamStack(
         np.stack(w_phi), np.stack(w_psi), np.stack(w_z),
         {role: np.stack([f[role] for f in filters]) for role in filters[0]})
+
+
+def _finite(y: np.ndarray) -> np.ndarray:
+    """y, once checked finite: a NaN would drop out of the max of the
+    errors that a group compares with its bound."""
+    if not np.isfinite(y).all():
+        raise NumericError("block output contains non-finite entries")
+    return y
+
+
+def _forward(xs, height: int, width: int, cfg: BlockConfig, params) -> np.ndarray:
+    """The block outputs of a stack of inputs, one set of parameters per
+    sample, as one core call."""
+    return _finite(blocks._forward_stack(xs, height, width, cfg, params)[0])
 
 
 def _sample(params: "blocks._ParamStack", i: int) -> "blocks._ParamStack":
@@ -277,7 +298,7 @@ def check_unification():
         cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
         xs, params = _stacked([_random_block_inputs(rng, cfg, height=3, width=4)
                                for _ in range(3)])
-        ys, _ = blocks._forward_stack(xs, 3, 4, cfg, params)
+        ys = _forward(xs, 3, 4, cfg, params)
         for i, x in enumerate(xs):
             want = _table1_forward(cfg, FeatureMap(3, 4, cfg.c_in, x), _sample(params, i))
             worst = max(worst, linalg.rel_error(ys[i], want))
@@ -290,11 +311,11 @@ def check_tied_weight_identities():
     cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
     cfg_ns = BlockConfig(variant="NS", c_in=4, c_s=2)
     xs, params = _stacked([_random_block_inputs(rng, cfg) for _ in range(3)])
-    _, t = blocks._forward_stack(xs, 3, 3, cfg, params)
+    t = blocks._build_affinity(xs, 3, 3, cfg, params)
     a = blocks._dense_affinity(t.m, cfg).values
     n = xs.shape[1]
-    nl = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, n)[0]
-    ns = blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node, n)[0]
+    nl = _finite(blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, n)[0])
+    ns = _finite(blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node, n)[0])
     for i, w in enumerate(params.filters["w"]):
         cheb = blocks.generalized_forward(a[i], t.z[i], [np.zeros_like(w), w])
         if not np.array_equal(nl[i], cheb):
@@ -332,8 +353,7 @@ def check_snl_symmetry():
 
 def _equivariance_error(cfg: BlockConfig, x, arrays, perm, height=3, width=3) -> float:
     """max |f(P x) - P f(x)| of one block, with x and P x as one stack."""
-    y, _ = blocks._forward_stack(np.stack([x, x[perm]]), height, width, cfg,
-                                 blocks._ParamStack(*arrays))
+    y = _forward(np.stack([x, x[perm]]), height, width, cfg, blocks._ParamStack(*arrays))
     return float(np.max(np.abs(y[1] - y[0][perm])))
 
 
@@ -357,7 +377,7 @@ def check_block_shapes():
     for variant in blocks.VARIANTS:
         cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
         x, params = _stacked([_random_block_inputs(rng, cfg)])
-        y, _ = blocks._forward_stack(x, 3, 3, cfg, params)
+        y = _forward(x, 3, 3, cfg, params)
         if y.shape != x.shape:
             return False, f"{variant}: output {y[0].shape} != input {x[0].shape}"
     return True, "output shape equals input shape for all variants"

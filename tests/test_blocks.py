@@ -192,10 +192,27 @@ def test_tied_weight_identities():
 ])
 def test_unification_check_fails_on_a_wrong_table_row(variant, change, monkeypatch):
     # the check compares the table with closed forms, not with itself
+    monkeypatch.setattr(blocks, "_held", None)  # restored after the test, like the table
     assert verify.check_unification()[0]
     monkeypatch.setitem(blocks._RECIPES, variant, blocks._RECIPES[variant]._replace(**change))
     passed, detail = verify.check_unification()
     assert not passed, detail
+
+
+@pytest.mark.parametrize("group", ["unification-table", "tied-weight-identities",
+                                   "block-equivariance", "block-output-shape"])
+def test_verify_block_group_fails_on_a_non_finite_output(group, monkeypatch):
+    # a NaN in the filter output must not drop out of the max of a group's
+    # errors: the group raises as block_forward_batch does
+    honest = blocks._filter
+
+    def poisoned(*args):
+        f, powers = honest(*args)
+        return np.full_like(f, np.nan), powers
+
+    monkeypatch.setattr(blocks, "_filter", poisoned)
+    with pytest.raises(NumericError, match="non-finite"):
+        dict(verify.GROUPS)[group]()
 
 
 def test_snl_affinity_exactly_symmetric():
@@ -318,12 +335,12 @@ def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
 
     gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
     scale = max(np.abs(gx).max(), *(np.abs(g).max() for g in grads.values()))
-    (num,) = gradcheck.finite_diff(lambda vs: losses(vs[0], params), [xs], 1e-6)
+    num = gradcheck.finite_diff(lambda vs: losses(vs, params), xs, 1e-6)
     assert np.max(np.abs(num - gx)) <= 1e-7 * scale
     for name, mat in params.items():
         def losses_at(probes, name=name):
             out = []
-            for v in probes[0]:
+            for v in probes:
                 p = copy.deepcopy(params)
                 if name in p.filters:
                     p.filters[name] = v
@@ -331,7 +348,7 @@ def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
                     setattr(p, name, v)
                 out.append(losses(xs[None], p)[0])
             return np.array(out)
-        (num,) = gradcheck.finite_diff(losses_at, [mat], 1e-6)
+        num = gradcheck.finite_diff(losses_at, mat, 1e-6)
         assert np.max(np.abs(num - grads[name])) <= 1e-7 * scale, name
 
 

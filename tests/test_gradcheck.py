@@ -12,12 +12,11 @@ from snl.errors import ConfigError, NumericError, ShapeError
 
 
 def test_finite_diff_quadratic_exact():
-    # the loss takes a list of one (2P, 2, 2) probe stack and returns its 2P
-    # losses
+    # the loss takes the (2P, 2, 2) probe stack and returns its 2P losses
     a = np.array([[2.0, -1.0], [0.5, 3.0]])
     point = np.array([[1.0, 2.0], [3.0, 4.0]])
-    loss = lambda xs: np.sum(a * xs[0] * xs[0], axis=(1, 2))
-    (got,) = gradcheck.finite_diff(loss, [point], 1e-5)
+    loss = lambda xs: np.sum(a * xs * xs, axis=(1, 2))
+    got = gradcheck.finite_diff(loss, point, 1e-5)
     assert np.max(np.abs(got - 2.0 * a * point)) < 1e-8
 
 
@@ -27,76 +26,39 @@ def test_finite_diff_probe_stack_order():
     seen = []
 
     def loss(xs):
-        seen.append(xs[0].copy())
-        return np.zeros(len(xs[0]))
+        seen.append(xs.copy())
+        return np.zeros(len(xs))
 
-    gradcheck.finite_diff(loss, [point], 0.5)
+    gradcheck.finite_diff(loss, point, 0.5)
     assert len(seen) == 1
     bump = 0.5 * np.eye(3).reshape(3, 1, 3)
     np.testing.assert_array_equal(seen[0], np.concatenate([point + bump, point - bump]))
 
 
-def test_finite_diff_probes_every_point_in_order():
-    # one stack per point: point 0's +eps and -eps probes, then point 1's;
-    # a row holds each point that it does not probe at its base value
-    a, b = np.array([1.0, 2.0]), np.array([[5.0], [6.0], [7.0]])
-    seen = []
-
-    def loss(xs):
-        seen.append([x.copy() for x in xs])
-        return np.sum(xs[0] ** 2, axis=1) + 3.0 * np.sum(xs[1], axis=(1, 2))
-
-    da, db = gradcheck.finite_diff(loss, [a, b], 0.5)
-    (xa, xb), = seen
-    bump_a, bump_b = 0.5 * np.eye(2), 0.5 * np.eye(3)[:, :, None]
-    np.testing.assert_array_equal(xa, np.concatenate([a + bump_a, a - bump_a, np.tile(a, (6, 1))]))
-    np.testing.assert_array_equal(
-        xb, np.concatenate([np.tile(b, (4, 1, 1)), b + bump_b, b - bump_b]))
-    np.testing.assert_array_equal(da, 2.0 * a)
-    np.testing.assert_array_equal(db, np.full((3, 1), 3.0))
-
-
-def test_finite_diff_takes_a_list_of_points():
-    with pytest.raises(TypeError):
-        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0])), np.zeros((2, 2)), 1e-5)
-
-
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(ValueError):
-        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0])), [np.zeros(2)], 0.0)
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), np.zeros(2), 0.0)
 
 
 def test_finite_diff_nonfinite_loss():
     with pytest.raises(NumericError):
-        gradcheck.finite_diff(lambda xs: np.full(len(xs[0]), np.nan), [np.zeros(2)], 1e-5)
+        gradcheck.finite_diff(lambda xs: np.full(len(xs), np.nan), np.zeros(2), 1e-5)
 
 
 def test_finite_diff_names_the_first_bad_entry():
     # entry 3's minus probe and entry 1's plus probe are non-finite: entry 1
     def loss(xs):
-        out = np.zeros(len(xs[0]))
+        out = np.zeros(len(xs))
         out[[1, 5 + 3]] = [np.inf, np.nan]
         return out
 
     with pytest.raises(NumericError, match="entry 1$"):
-        gradcheck.finite_diff(loss, [np.zeros(5)], 1e-5)
-
-
-def test_finite_diff_names_the_point_of_the_first_bad_entry():
-    # probes 0-3 are point 0's, 4-9 point 1's: probe 8 is the minus probe
-    # of point 1's entry 1
-    def loss(xs):
-        out = np.zeros(len(xs[0]))
-        out[8] = np.nan
-        return out
-
-    with pytest.raises(NumericError, match="point 1, perturbed entry 1$"):
-        gradcheck.finite_diff(loss, [np.zeros(2), np.zeros(3)], 1e-5)
+        gradcheck.finite_diff(loss, np.zeros(5), 1e-5)
 
 
 def test_finite_diff_rejects_a_loss_of_the_wrong_shape():
     with pytest.raises(ShapeError):
-        gradcheck.finite_diff(lambda xs: np.zeros(len(xs[0]) - 1), [np.zeros(3)], 1e-5)
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs) - 1), np.zeros(3), 1e-5)
 
 
 # Each (variant, kernel) on a square and a non-square grid; without
@@ -259,7 +221,7 @@ def per_probe_differences(cfg, seed, height, width):
 
 def batched_differences(monkeypatch, cfg, seed, height, width):
     """The reports of ``check_block_gradients`` and the central differences
-    it took, in parameter order."""
+    it took, flat, in parameter order."""
     taken = []
     honest = gradcheck.finite_diff
 
@@ -271,7 +233,8 @@ def batched_differences(monkeypatch, cfg, seed, height, width):
     reports = gradcheck.check_block_gradients(cfg, seed, height=height, width=width)
     monkeypatch.setattr(gradcheck, "finite_diff", honest)
     assert len(taken) == 1  # one call takes every array's differences
-    return reports, dict(zip([r.parameter for r in reports], taken[0]))
+    ends = np.cumsum([r.checked_entries for r in reports])
+    return reports, dict(zip([r.parameter for r in reports], np.split(taken[0], ends[:-1])))
 
 
 BIT_CASES = [(v, "exp_dot") for v in blocks.VARIANTS] + [("A2", "dot")]
@@ -288,7 +251,7 @@ def test_stacked_probes_match_one_probe_calls_bitwise(monkeypatch, variant, kern
     want = per_probe_differences(cfg, 0, *grid)
     assert list(got) == list(want)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        assert np.array_equal(got[name], want[name].ravel()), name
 
 
 def test_chunked_probes_give_identical_reports(monkeypatch):
@@ -302,8 +265,8 @@ def test_chunked_probes_give_identical_reports(monkeypatch):
     assert chunked == whole
     want = per_probe_differences(cfg, 5, 3, 3)
     for name in want:
-        assert np.array_equal(chunked_diffs[name], want[name]), name
-        assert np.array_equal(whole_diffs[name], want[name]), name
+        assert np.array_equal(chunked_diffs[name], want[name].ravel()), name
+        assert np.array_equal(whole_diffs[name], want[name].ravel()), name
 
 
 # Peak RSS of an SNL check on a 16x16 grid, in MiB over the same fresh
@@ -348,12 +311,12 @@ def test_probe_parts_keep_the_stack_order(monkeypatch):
     seen = []
 
     def loss(xs):
-        seen.append(xs[0].copy())
-        return np.sum(xs[0] * xs[0], axis=1)
+        seen.append(xs.copy())
+        return np.sum(xs * xs, axis=1)
 
-    (whole,) = gradcheck.finite_diff(loss, [point], 0.5)
+    whole = gradcheck.finite_diff(loss, point, 0.5)
     monkeypatch.setattr(gradcheck, "_PROBE_PART_BYTES", 48)
-    (parts,) = gradcheck.finite_diff(loss, [point], 0.5)
+    parts = gradcheck.finite_diff(loss, point, 0.5)
     assert [len(xs) for xs in seen] == [6, 2, 2, 2]
     np.testing.assert_array_equal(np.concatenate(seen[1:]), seen[0])
     np.testing.assert_array_equal(parts, whole)
