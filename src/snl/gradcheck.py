@@ -122,7 +122,8 @@ def check_block_gradients(
     Input and parameters are drawn from ``seed``; the scalar loss is the
     sum of squared block outputs. When the config freezes the affinity
     (backprop_affinity=False) the finite-difference loss holds A at its
-    base-point value so both sides differentiate the same function. The
+    base-point value so both sides differentiate the same function, and
+    the probes are only embedded and filtered: no probe builds a kernel. The
     relative error of each entry divides by at least ``error_floor`` of
     the base-point loss. ``tolerance`` must be finite and positive. A
     non-finite probe loss raises ``finite_diff``'s ``NumericError``, whose

@@ -11,7 +11,14 @@ the cost of a NumPy call, not its arithmetic, sets the time. So a step
 makes few and cheap calls: the conv patches are one ``np.take`` of
 precomputed window indices, and every sum over a short or non-trailing
 axis (pooling, the bias gradients) is a product with a ones vector, one
-BLAS call where the axis sum took several times as long.
+BLAS call where the axis sum took several times as long. Inside the
+block the same rule goes one step further: a thin stack keeps its long
+axis last, so the block core holds its thin arrays channel-first,
+(B, c, N), and its input, output and gradients stay (B, N, C). At B = 32,
+N = 64, c_s = 2 a last-axis concatenate took 27-33 us against 4.6 us
+channel-first, a (B, N, 1) column scaling 14 us against 5.8 us for a
+row, and an L R^T product 103 us against 62 us for L^T taken as a
+transposed operand.
 """
 
 from dataclasses import dataclass

@@ -317,10 +317,10 @@ def check_tied_weight_identities():
     nl = _finite(blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, n)[0])
     ns = _finite(blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node, n)[0])
     for i, w in enumerate(params.filters["w"]):
-        cheb = blocks.generalized_forward(a[i], t.z[i], [np.zeros_like(w), w])
+        cheb = blocks.generalized_forward(a[i], t.z[i].T, [np.zeros_like(w), w])
         if not np.array_equal(nl[i], cheb):
             worst = max(worst, linalg.rel_error(nl[i], cheb))
-        cheb_ns = blocks.generalized_forward(a[i], t.z[i], [-w, w])
+        cheb_ns = blocks.generalized_forward(a[i], t.z[i].T, [-w, w])
         if not np.array_equal(ns[i], cheb_ns):
             worst = max(worst, linalg.rel_error(ns[i], cheb_ns))
     return worst <= 1e-12, f"max tied-weight rel error {worst:.3e}"

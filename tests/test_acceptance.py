@@ -133,7 +133,7 @@ def test_criterion_4_unification_table():
             a = blocks.build_block_affinity(x, cfg, params).values
             if variant == "CGNL":
                 fv = blocks.generalized_forward(
-                    a, t.v[0], [np.zeros((1, 1)), np.ones((1, 1))]
+                    a, t.v[0].T, [np.zeros((1, 1)), np.ones((1, 1))]
                 )
                 want = (
                     graph.unflatten_spatial_channel(fv, 9, cfg.c_s)
@@ -142,7 +142,7 @@ def test_criterion_4_unification_table():
             else:
                 w = params.filters["w"]
                 ws = [-w, w] if variant == "NS" else [np.zeros_like(w), w]
-                want = blocks.generalized_forward(a, t.z_node[0], ws)
+                want = blocks.generalized_forward(a, t.z_node[0].T, ws)
             if not np.array_equal(got, want):
                 worst = max(worst, linalg.rel_error(got, want))
     report(4, "unification table", worst <= 1e-12, f"max rel error {worst:.3e}")

@@ -139,7 +139,7 @@ def test_unification_against_generic_polynomial():
                 weights = [-w, w]
             else:
                 weights = [np.zeros_like(w), w]
-            want = blocks.generalized_forward(a, t.z_node[0], weights)
+            want = blocks.generalized_forward(a, t.z_node[0].T, weights)
             got = tape_filter(cfg, params, t)
             assert np.array_equal(got, want) or linalg.rel_error(got, want) <= 1e-12
 
@@ -153,7 +153,7 @@ def test_unification_cgnl_flattened_graph():
         t = one_sample_tape(x, cfg, params)
         a = blocks.build_block_affinity(x, cfg, params).values
         weights = [np.zeros((1, 1)), np.ones((1, 1))]
-        fv = blocks.generalized_forward(a, t.v[0], weights)
+        fv = blocks.generalized_forward(a, t.v[0].T, weights)
         want = graph.unflatten_spatial_channel(fv, x.n_positions, cfg.c_s) @ params.filters["w"]
         got = tape_filter(cfg, params, t)
         assert np.array_equal(got, want) or linalg.rel_error(got, want) <= 1e-12
@@ -174,14 +174,14 @@ def test_tied_weight_identities():
         ns_out = blocks.block_forward(x, ns_cfg, nl_params).values
         t = one_sample_tape(x, ns_cfg, nl_params)
         a = blocks.build_block_affinity(x, ns_cfg, nl_params).values
-        cheb_ns = x.values + blocks.generalized_forward(a, t.z[0], [-w, w])
+        cheb_ns = x.values + blocks.generalized_forward(a, t.z[0].T, [-w, w])
         assert linalg.rel_error(ns_out, cheb_ns) <= 1e-12
 
         # NL(W) == CHEB_K(K=2, W1=0) on the same affinity
         nl_out = blocks.block_forward(x, nl_cfg, nl_params).values
         t = one_sample_tape(x, nl_cfg, nl_params)
         a = blocks.build_block_affinity(x, nl_cfg, nl_params).values
-        cheb_nl = x.values + blocks.generalized_forward(a, t.z[0], [np.zeros_like(w), w])
+        cheb_nl = x.values + blocks.generalized_forward(a, t.z[0].T, [np.zeros_like(w), w])
         assert linalg.rel_error(nl_out, cheb_nl) <= 1e-12
 
 
@@ -330,7 +330,9 @@ def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
         if frozen is not None:
             z_node = np.concatenate([t.z_node for t in ts])
             z_node = z_node.reshape(vs.shape[:2] + z_node.shape[1:])
-            y = vs + blocks._filter(cfg, p, frozen, z_node, h * w)[0]
+            # the dense A applied to the tape's channel-first signal
+            y = vs + blocks._filter(cfg, p, blocks._Affinity(frozen, None, "none"), z_node,
+                                    h * w)[0]
         return np.sum(gs * y, axis=(1, 2, 3))
 
     gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
@@ -375,31 +377,34 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
     A^T and k outer products, so K(K-1)/2 of each over a CHEB_K filter. The
     outer products are returned as their factors, concatenated: dL/dA =
     u v^T, with A v and A^T u. On CGNL's flattened graph each power is read
-    as an (N, C_s) map before W."""
+    as an (N, C_s) map before W. The tape's signals and the returned
+    gradient and factors are channel-first, (b, c, V); they are transposed
+    on the way in and out."""
     n = tape.x.shape[1]
     read = unread = lambda p: p
     if tape.v is not None:
         read = lambda p: graph.unflatten_spatial_channel(p, n, cfg.c_s)
         unread = graph.flatten_spatial_channel
     a_t = blocks._t(dense_affinity(cfg, params, tape.x, h, w))
+    powers = [blocks._t(p) for p in tape.powers]
     per_tile = {}
-    g_zn = np.zeros_like(tape.z_node)
+    g_zn = np.zeros_like(powers[0])
     us, vs, avs, atus = [], [], [], []
     for k, role, sign in blocks._variant_terms(cfg):
-        contrib = sign * (blocks._t(read(tape.powers[k])) @ g).sum(axis=0)
+        contrib = sign * (blocks._t(read(powers[k])) @ g).sum(axis=0)
         per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         for j in range(k):
             us.append(r)
-            vs.append(tape.powers[k - 1 - j])
-            avs.append(tape.powers[k - j])
+            vs.append(powers[k - 1 - j])
+            avs.append(powers[k - j])
             r = a_t @ r
             atus.append(r)
         g_zn += r
     g_a = None
     if cfg.backprop_affinity:
-        g_a = tuple(np.concatenate(f, axis=-1) for f in (us, vs, avs, atus))
-    return per_tile, g_zn, g_a
+        g_a = tuple(blocks._t(np.concatenate(f, axis=-1)) for f in (us, vs, avs, atus))
+    return per_tile, blocks._t(g_zn), g_a
 
 
 @pytest.mark.parametrize(
@@ -429,21 +434,23 @@ INPUT_SCALES = [0.5, 10.0, 1e-8, 1e-150, 0.0]
 @pytest.mark.parametrize("b,n", [(8, 64), (1, 1024)])  # an N = 64 tile, one 32x32 sample
 @pytest.mark.parametrize("c_s", [1, 2, 3, 4])
 def test_swapped_product_is_the_transposed_product(b, n, c_s):
-    # _Affinity forms M^T q as the swapped product (q^T M)^T, thin operand
-    # first: A^T g with A = M, and the M^T q half of a symmetric A p
+    # _Affinity takes channel-first operands q^T and forms M^T q as the
+    # swapped product q^T M, thin operand first: A^T g with A = M, and the
+    # M^T q half of a symmetric A p
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=c_s)
     rng = np.random.default_rng(30 + c_s)
     params = blocks.random_params(cfg, rng)
     q = rng.normal(size=(b, n, 3))
+    q_t = np.ascontiguousarray(blocks._t(q))
     for scale in INPUT_SCALES:
         phi, psi, _ = blocks.embed(scale * rng.normal(size=(b, n, 4)), params)
         for kernel in graph.KERNELS:
             m = graph.kernel_matrix(phi, psi, kernel)
             want = blocks._t(m) @ q
-            got = blocks._Affinity(m, None, "none").T @ q
+            got = blocks._t(blocks._Affinity(m, None, "none").T @ q_t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
             want = (m @ q + want) / 2
-            got = blocks._Affinity(m, np.ones((b, n, 1)), "symmetric") @ q
+            got = blocks._t(blocks._Affinity(m, np.ones((b, 1, n)), "symmetric") @ q_t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
 
 
@@ -482,9 +489,10 @@ def dense_affinity_backward(t, recipe, kernel, u, v, av, atu):
     densely, each normalization's quotient rule on (V, V) arrays (the
     symmetric one with its row and column sums and a transposed add), then
     the kernel step. M, A and d come from the public graph route; the
-    products A v and A^T u are not read."""
-    g_a = u @ blocks._t(v)
-    left, right = (getattr(t, name) for name in recipe.pair)
+    products A v and A^T u are not read. The factors and the tape's phi,
+    psi and v are channel-first, (b, c, V)."""
+    g_a = blocks._t(u) @ v
+    left, right = (blocks._t(getattr(t, name)) for name in recipe.pair)
     m = graph.compute_affinity(left, right, kernel)
     if t.mask is not None:
         m.values *= t.mask
@@ -558,22 +566,23 @@ def test_affinity_backward_matches_dense_form(variant, kernel, h, w, b, monkeypa
 
 def axis_sum_affinity_backward(t, recipe, kernel, u, v, av, atu):
     """``blocks._affinity_backward`` with its row sums rho and r as
-    np.sum over the factors' last axis and each factor scaled on its own."""
-    d = None if t.d is None else t.d[..., None]
-    ones = np.ones_like(u[..., :1])
+    np.sum over the channel-first factors' short axis and each factor
+    scaled on its own."""
+    d = None if t.d is None else t.d[:, None, :]
+    ones = np.ones_like(u[:, :1])
     if recipe.normalization == "symmetric":
-        rho = np.sum(u * av + v * atu, axis=-1, keepdims=True) / (4.0 * d)
+        rho = np.sum(u * av + v * atu, axis=-2, keepdims=True) / (4.0 * d)
         s = 1.0 / np.sqrt(d)
         left, right = [0.5 * s * u, 0.5 * s * v, rho, ones], [s * v, s * u, -ones, -rho]
     elif recipe.normalization == "random_walk":
-        r = np.sum(u * av, axis=-1, keepdims=True)
+        r = np.sum(u * av, axis=-2, keepdims=True)
         left, right = [u / d, -r / d], [v, ones]
     else:
         left, right = [u], [v]
-    left = np.concatenate(left, axis=-1)
+    left = np.concatenate(left, axis=-2)
     if kernel == "exp_dot":
-        left /= np.sqrt(getattr(t, recipe.pair[0]).shape[-1])
-    g_s = left @ blocks._t(np.concatenate(right, axis=-1))
+        left /= np.sqrt(getattr(t, recipe.pair[0]).shape[-2])
+    g_s = blocks._t(left) @ np.concatenate(right, axis=-2)
     kept = t.m if kernel == "exp_dot" else t.mask
     return g_s if kept is None else g_s * kept
 
@@ -634,7 +643,9 @@ def test_affinity_operator_matches_the_dense_affinity(variant, kernel, h, w):
     dense = dense_affinity(cfg, params, xs, h, w)
     a = blocks._affinity(t, cfg)
     p = rng.normal(size=dense.shape[:2] + (3,))
-    for got, want in ((a @ p, dense @ p), (a.T @ p, blocks._t(dense) @ p)):
+    p_t = np.ascontiguousarray(blocks._t(p))  # the operator's channel-first layout
+    for got, want in ((blocks._t(a @ p_t), dense @ p),
+                      (blocks._t(a.T @ p_t), blocks._t(dense) @ p)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -846,6 +857,43 @@ def test_training_stack_is_one_tape():
                                           params)
     assert len(tapes) == 1
     assert tapes[0].m.shape == (32, 64, 64)
+
+
+@pytest.mark.parametrize("variant", ["SNL", "NL", "CC", "CGNL"])
+def test_thin_tape_arrays_keep_their_long_axis_last(variant):
+    # every thin stack a tape keeps is channel-first, (b, c, V) or
+    # (b, c, N), with contiguous rows, so NumPy's inner loops run over the
+    # long axis and not over c_s = 2
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
+    rng = np.random.default_rng(44)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(32, 64, 4))
+    _, (t,) = blocks.block_forward_batch(xs, 8, 8, cfg, params)
+    n_vertices = blocks._vertices(cfg, 64)
+    thin = {"phi": t.phi, "psi": t.psi, "z": t.z, "z_node": t.z_node}
+    thin.update((f"powers[{k}]", p) for k, p in enumerate(t.powers))
+    for name, a in thin.items():
+        long = 64 if name in ("phi", "psi", "z") else n_vertices
+        assert a.shape[0] == 32 and a.shape[1] <= 4 and a.shape[2] == long, name
+        assert a.strides[-1] == 8 and a.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("variant", ["NL", "SNL", "CGNL"])
+def test_each_tile_calls_the_public_embed_and_kernel_once(variant, monkeypatch):
+    # per-stage profiles time the core through blocks.embed and
+    # graph.kernel_matrix: every tile of a forward calls each once
+    # 4 samples of 12 vertices a tile; CGNL's 24 vertices, 1 sample a tile
+    monkeypatch.setattr(blocks, "TILE_BYTES", 4 * 8 * 12 * 12)
+    calls = {"embed": 0, "kernel_matrix": 0}
+    for module, name in ((blocks, "embed"), (graph, "kernel_matrix")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    cfg, params, xs, _ = batch_case(variant, "exp_dot", True, 3, 4, b=10)
+    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    assert len(tapes) == (10 if variant == "CGNL" else 3)
+    assert calls == {"embed": len(tapes), "kernel_matrix": len(tapes)}
 
 
 @pytest.mark.parametrize("variant", ["A2", "NL", "SNL"])

@@ -167,15 +167,18 @@ def test_probes_run_on_the_batched_core(monkeypatch, backprop):
         monkeypatch.setattr(blocks, name, counted)
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3, backprop_affinity=backprop)
     # the default budget puts all 152 probes in one call; 3000 bytes puts
-    # at most 4 (9, 9) kernels in one, so 38 calls
-    for tile_bytes, builds in ((blocks.TILE_BYTES, 2), (3000, 39)):
+    # at most 4 (9, 9) kernels in one, so 38 calls. Under a frozen affinity
+    # the probes are embedded and filtered only: the base forward's is the
+    # one kernel built
+    for tile_bytes, chunks in ((blocks.TILE_BYTES, 1), (3000, 38)):
         monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
         calls.update(dict.fromkeys(names, 0))
         reports = gradcheck.check_block_gradients(cfg, seed=0)
         probes = 2 * sum(r.checked_entries for r in reports)
         assert probes == 152
+        assert -(-probes // probes_per_call(cfg, 3, 3)) == chunks
         assert calls["block_forward_batch"] == 1
-        assert calls["_build_affinity"] == 1 + -(-probes // probes_per_call(cfg, 3, 3)) == builds
+        assert calls["_build_affinity"] == 1 + (chunks if backprop else 0)
         assert calls["block_forward"] == calls["block_backward"] == 0
         assert blocks._held is None
 
