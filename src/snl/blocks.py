@@ -676,11 +676,12 @@ def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu) -> 
     if recipe.normalization == "symmetric":
         # A = s s^T * (M + M^T)/2 with s = d^-1/2. With H = G + G^T and A
         # symmetric, q = rowsum(H * A) = rowsum(u * A v + v * A u), and
-        # dL/dM = (s s^T * H)/2 - rho 1^T - 1 rho^T with rho = q/(4d).
-        rho = (np.ones(w) @ (u * av + v * atu))[:, None, :] / (4.0 * d)
+        # dL/dM = (s s^T * H)/2 - rho 1^T - 1 rho^T with rho = q/(4d), so
+        # -rho pairs with a ones row on either side
+        neg_rho = (np.ones(w) @ (u * av + v * atu))[:, None, :] / (-4.0 * d)
         # [s u, s v] as one product; 0.5 (s u) is (0.5 s) u to the bit
         suv = (1.0 / np.sqrt(d)) * np.concatenate([u, v], axis=-2)
-        left, right = [0.5 * suv, rho, ones], [suv[:, w:], suv[:, :w], -ones, -rho]
+        left, right = [0.5 * suv, neg_rho, ones], [suv[:, w:], suv[:, :w], ones, neg_rho]
     elif recipe.normalization == "random_walk":
         # A = D^-1 M: dL/dM = (G - r 1^T) / d with r = rowsum(G * A) = rowsum(u * A v)
         r = (np.ones(w) @ (u * av))[:, None, :]

@@ -1,8 +1,9 @@
 """Fully-connected graph construction from feature maps.
 
 Affinity kernels, symmetrization, degree normalizations, the criss-cross
-mask, and the (position, channel) flattening used by the
-compact-generalized variant.
+mask, and the (position, channel) flattening vec(Z) that defines the
+compact-generalized variant's signal; the block core, which holds Z
+channel-first as Z^T, takes vec(Z) as a free reshape of it.
 """
 
 from dataclasses import dataclass
