@@ -793,10 +793,6 @@ def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.ones(len(a)) @ per_sample.reshape(len(a), -1)).reshape(per_sample.shape[1:])
 
 
-# each projection and the tape field it makes
-_PROJECTIONS = (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z"))
-
-
 def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """dL/dX of one tile and each parameter's gradient summed over it."""
     recipe = _RECIPES[cfg.variant]
@@ -814,7 +810,8 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
     gx = g + _t(grads["x"]) if "x" in grads else g
     # the projections' gradients as one stack of rows: one product for
     # dL/dX and one for the weights
-    found = [(name, grads[source]) for name, source in _PROJECTIONS if source in grads]
+    projections = (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z"))
+    found = [(name, grads[source]) for name, source in projections if source in grads]
     if found:
         g_rows = _rows([grad for _, grad in found])
         w = np.concatenate([getattr(params, name) for name, _ in found], axis=-1)
