@@ -20,9 +20,17 @@ polynomial with ``spectral._polynomial``, one product with A per power;
 the backward takes one product with A^T per power: both are linear in K.
 The core never forms A: a tape keeps the masked kernel M, its one (V, V)
 array, and the degrees d, and ``_Affinity`` applies A and A^T to thin
-operands as diagonal scalings around products with M. The backward forms
-the kernel's gradient as one product of thin factors
-(``_affinity_backward``).
+operands as diagonal scalings around products with M. The backward takes
+the kernel's gradient as a product of thin factors
+(``_affinity_factors``) and never forms it past one panel: where one
+(V, V) matrix holds more than ``graph.PANEL_BYTES`` (256 KiB, V >= 182)
+it runs in row panels, each multiplied by M's rows and by both
+embeddings while it is in cache (``_affinity_backward``), as the exp_dot
+kernel is built (``graph.kernel_matrix``). At V = 1024 that ran the
+blocks_n1024 mix (one forward and one forward + backward of each of its
+12 configurations, B = 1) at 0.87-0.90x of whole (V, V) passes on a
+2-core x86-64 VM, forward outputs bitwise equal. Smaller matrices, a
+training stack (B = 32, V = 64) and every oracle case, are one panel.
 
 A thin stack keeps its long axis last. Every thin array the core makes
 (phi, psi, z, the node signal and its powers, their gradients, the degree
@@ -319,7 +327,10 @@ class Tape:
     """Intermediates of one tile of a batched forward pass, read by the
     backward pass: the whole stack in one tape when its kernels fit in
     ``TILE_BYTES`` (32 MiB; a B = 32, N = 64 call holds 1 MiB). All are
-    plain arrays, checked where they enter the core.
+    plain arrays, checked where they enter the core. Inside a tile, the
+    kernel and its gradient run in ``graph.PANEL_BYTES`` row panels when
+    one (V, V) matrix passes 256 KiB (V >= 182, 32 rows at V = 1024);
+    a tile of smaller matrices is one panel.
 
     Arrays carry the tile's batch axis first, and a thin stack keeps its
     long axis last, so NumPy's inner loops run over N or V and not over
@@ -342,6 +353,8 @@ class Tape:
 
 
 def _check_stack(values, height: int, width: int) -> np.ndarray:
+    if height < 1 or width < 1:
+        raise ShapeError(f"a {height}x{width} grid has no positions")
     xv = linalg.as_stack(values)
     if xv.shape[0] == 0:
         raise ShapeError("empty batch")
@@ -505,6 +518,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # evaluation call (B = 32, N = 64, 1 MiB) is one tile; CGNL's large
 # flattened graphs still split. With the thresholds pinned, one stack beat
 # 256 KiB tiles in SGD steps at B = 32, 64 and 128 for SNL, NL and CHEB_K.
+# Inside a tile, a kernel and its gradient run in row panels of at most
+# graph.PANEL_BYTES once one (V, V) matrix is larger; it sits in graph,
+# which builds the kernel and cannot import this module.
 TILE_BYTES = _MALLOC_THRESHOLD_BYTES
 
 
@@ -659,15 +675,16 @@ def block_forward(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> Featu
     return FeatureMap(x.height, x.width, x.channels, y[0])
 
 
-def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu) -> np.ndarray:
-    """dL/dS of the kernel's Gram matrix S = left right^T, given dL/dA = G
-    as its factors u^T v and the products A v and A^T u that the filter's
-    passes already took, all channel-first (b, w, V) stacks: one product
-    of stacked thin factors, then at most one in-place product with a kept
-    (V, V) array. exp_dot: M = exp(c S), c = 1/sqrt(width), so dM/dS = c M,
-    and the kept array is the tape's M, which carries the mask; a random
-    walk's 1/d rides on the left factor. The row terms come from A v and
-    A^T u, so no product with M is taken here."""
+def _affinity_factors(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu):
+    """dL/dS of the kernel's Gram matrix S = left right^T as thin factors:
+    (f_left, f_right, kept) with dL/dS = (f_left^T f_right) * kept, kept
+    None for no product.
+    dL/dA = G comes as its factors u^T v with the products A v and A^T u
+    that the filter's passes already took, all channel-first (b, w, V)
+    stacks. exp_dot: M = exp(c S), c = 1/sqrt(width), so dM/dS = c M, and
+    the kept array is the tape's M, which carries the mask; a random walk's
+    1/d rides on the left factor. The row terms come from A v and A^T u, so
+    no product with M is taken here."""
     d = None if t.d is None else t.d[:, None, :]
     ones = np.ones_like(u[:, :1])
     # sums over the factors' short axis of width w are products with a
@@ -693,13 +710,33 @@ def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu) -> 
         left /= d
     if kernel == "exp_dot":
         left *= 1.0 / np.sqrt(getattr(t, recipe.pair[0]).shape[-2])
-        kept = t.m
-    else:  # dM/dS = 1: of M only the mask remains
-        kept = t.mask
-    g_s = _t(left) @ _rows(right)
-    if kept is not None:
-        g_s *= kept
-    return g_s
+        return left, _rows(right), t.m
+    return left, _rows(right), t.mask  # dM/dS = 1: of M only the mask remains
+
+
+def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu):
+    """The gradients of the kernel's two inputs, channel-first like them,
+    from the factors of ``_affinity_factors``: with S = left right^T,
+    (dL/dS right)^T = right^T (dL/dS)^T and (dL/dS^T left)^T = left^T dL/dS.
+
+    dL/dS is taken in ``graph._panels`` row panels: each panel's product
+    of the factors, its product with the kept array's rows and its two
+    products with the embeddings run while it is still in cache, so the
+    (V, V) dL/dS is never formed when one matrix passes
+    ``graph.PANEL_BYTES``.
+    The left input's gradient is written panel by panel and the right
+    input's is summed over the panels, in panel order. A stack of smaller
+    matrices is one panel."""
+    f_left, f_right, kept = _affinity_factors(t, recipe, kernel, u, v, av, atu)
+    emb_l, emb_r = (getattr(t, name) for name in recipe.pair)
+    g_left, g_right = np.empty_like(emb_l), 0.0
+    for rows in graph._panels(len(f_left), f_left.shape[-1]):
+        g_s = _t(f_left[..., rows]) @ f_right
+        if kept is not None:
+            g_s *= kept[..., rows, :]
+        g_left[..., rows] = emb_r @ _t(g_s)
+        g_right = g_right + emb_l[..., rows] @ g_s
+    return g_left, g_right
 
 
 def block_backward_batch(
@@ -799,11 +836,9 @@ def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndar
     per_tile, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
     grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
     if g_a_factors is not None:
-        g_s = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
-        left, right = recipe.pair
-        # channel-first: (dL/dS right)^T = right^T (dL/dS)^T, and so on
-        _add(grads, left, getattr(tape, right) @ _t(g_s))
-        _add(grads, right, getattr(tape, left) @ g_s)
+        g_pair = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
+        for name, grad in zip(recipe.pair, g_pair):
+            _add(grads, name, grad)
     if "v" in grads:  # v = vec(z)
         _add(grads, "z", grads.pop("v").reshape(tape.z.shape))
 

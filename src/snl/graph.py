@@ -27,6 +27,20 @@ NORMALIZATIONS = ("none", "random_walk", "symmetric")
 # exp_dot overflow guard: exponent after 1/sqrt(C_s) scaling
 EXP_GUARD = 700.0
 
+# A (V, V) pass is memory-bound at large V: on a 2-core x86-64 VM (2 MiB
+# of L2 per core) an in-place multiply of two 8 MiB arrays took 0.8 ms
+# against 1.3 ms for an in-place exp of one. So the exp_dot kernel and
+# the block backward (``blocks``) run in row panels of at most this many
+# bytes when one matrix is larger, and work on each panel while it is
+# still in cache. At V = 1024 (B = 1, 32 rows a panel) the blocks_n1024
+# mix ran at 0.87-0.90x of whole (V, V) passes in three in-process runs
+# (``scripts/block_pairs.py``, 37 of 38 rounds won); 128 KiB and 512 KiB
+# panels were level with 256 KiB (0.998x and 0.999x). Stacks of smaller
+# matrices (B = 32, V = 64 training stacks, every oracle case) stay
+# whole: cut into row halves, a B = 32, V = 64 SGD step ran 1.10-1.11x
+# slower.
+PANEL_BYTES = 256 * 1024
+
 
 @dataclass
 class FeatureMap:
@@ -38,6 +52,8 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.height < 1 or self.width < 1:
+            raise ShapeError(f"feature map grid {self.height}x{self.width} has no positions")
         self.values = linalg.as_matrix(self.values)
         n = self.height * self.width
         if self.values.shape != (n, self.channels):
@@ -79,27 +95,54 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
     dot: M = phi psi^T. exp_dot: M = exp((phi / sqrt(C_s)) psi^T); scaling
     phi, not M, keeps the exponent bounded for unit-scale features. Takes
     (N, C_s) matrices or (B, N, C_s) stacks, giving (N, N) or (B, N, N).
+
+    exp_dot builds M in row panels (``_panels``) when one (N, N) matrix
+    holds more than ``PANEL_BYTES`` (256 KiB, N >= 182): each panel's
+    product is written straight into M, checked against the guard and
+    exponentiated in place while it is still in cache. A stack of smaller
+    matrices is one panel: one product, one max and one exp. The panels
+    give the one-product kernel bit for bit, and the guard's message
+    names the largest exponent of the whole stack. Raises ``ShapeError``
+    for embeddings with no rows.
     """
     phi = np.asarray(phi, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
     if phi.shape != psi.shape or phi.ndim not in (2, 3):
         raise ShapeError(f"affinity: phi {phi.shape} vs psi {psi.shape}")
+    if phi.shape[-2] == 0:
+        raise ShapeError(f"affinity: embeddings {phi.shape} have no rows")
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise NumericError("affinity: embedded features contain non-finite entries")
-    if kernel == "exp_dot":
-        phi = phi / np.sqrt(phi.shape[-1])
-    s = phi @ psi.swapaxes(-1, -2)
+    psi_t = psi.swapaxes(-1, -2)
     if kernel == "dot":
-        return s
-    if kernel == "exp_dot":
-        m = float(s.max())
-        if m > EXP_GUARD:
+        return phi @ psi_t
+    if kernel != "exp_dot":
+        raise PreconditionError(f"unknown kernel {kernel!r}")
+    phi = phi / np.sqrt(phi.shape[-1])
+    n = phi.shape[-2]
+    m = np.empty(phi.shape[:-1] + (n,))
+    for rows in _panels(m.size // (n * n), n):
+        s = np.matmul(phi[..., rows, :], psi_t, out=m[..., rows, :])
+        top = float(s.max())
+        if top > EXP_GUARD:
+            # the rows past this panel are not built yet
+            top = float((phi[..., rows.stop:, :] @ psi_t).max(initial=top))
             raise AffinityOverflowError(
-                f"exp_dot exponent {m:.3g} exceeds guard {EXP_GUARD:g}"
+                f"exp_dot exponent {top:.3g} exceeds guard {EXP_GUARD:g}"
             )
         # in place: every fresh (B, N, N) temporary is another pass over memory
-        return np.exp(s, out=s)
-    raise PreconditionError(f"unknown kernel {kernel!r}")
+        np.exp(s, out=s)
+    return m
+
+
+def _panels(batch: int, n: int) -> list[slice]:
+    """Row ranges of a (batch, N, N) stack: the whole stack when one matrix
+    holds at most ``PANEL_BYTES``, else panels of as many rows of every
+    matrix as fit in ``PANEL_BYTES`` (at least one row)."""
+    if 8 * n * n <= PANEL_BYTES:
+        return [slice(0, n)]
+    rows = max(1, PANEL_BYTES // (8 * batch * n))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
 def compute_affinity(phi: np.ndarray, psi: np.ndarray, kernel: str) -> AffinityMatrix:
@@ -127,6 +170,8 @@ def degrees(values: np.ndarray) -> np.ndarray:
     """Row-sum degree vector of an affinity array; validates the
     normalization domain."""
     _check_square(values, "normalize")
+    if values.shape[-1] == 0:
+        raise ShapeError(f"degrees: affinity {values.shape} has no vertices")
     _check_nonnegative(values)
     return _check_degrees(values.sum(axis=-1))
 

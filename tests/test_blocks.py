@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from snl import blocks, gradcheck, graph, linalg, verify
+from snl import blocks, gradcheck, graph, harness, linalg, verify
 from snl.blocks import BlockConfig, BlockParams
 from snl.errors import (
     AffinityOverflowError,
@@ -260,6 +260,14 @@ def test_permutation_equivariance():
         assert np.max(np.abs(yp - y[perm])) < 1e-12, variant
 
 
+@pytest.mark.parametrize("h,w,shape", [(0, 3, (2, 0, 4)), (-1, -3, (2, 3, 4)), (3, 0, (2, 0, 4))])
+def test_batch_rejects_grids_without_positions(h, w, shape):
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    params = blocks.random_params(cfg, np.random.default_rng(15))
+    with pytest.raises(ShapeError, match="no positions"):
+        blocks.block_forward_batch(np.ones(shape), h, w, cfg, params)
+
+
 def test_backward_upstream_shape_check():
     cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
     params = blocks.random_params(cfg, np.random.default_rng(13))
@@ -485,12 +493,14 @@ def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_by
 
 
 def dense_affinity_backward(t, recipe, kernel, u, v, av, atu):
-    """dL/dS as the backward formed it before the factored product: dL/dA
-    densely, each normalization's quotient rule on (V, V) arrays (the
-    symmetric one with its row and column sums and a transposed add), then
-    the kernel step. M, A and d come from the public graph route; the
-    products A v and A^T u are not read. The factors and the tape's phi,
-    psi and v are channel-first, (b, c, V)."""
+    """The gradients of the kernel's two inputs from dL/dS as the backward
+    formed it before the factored product: dL/dA densely, each
+    normalization's quotient rule on (V, V) arrays (the symmetric one with
+    its row and column sums and a transposed add), then the kernel step,
+    then one product of the whole dL/dS with each input. M, A and d come
+    from the public graph route; the products A v and A^T u are not read.
+    The factors, the tape's phi, psi and v and the gradients are
+    channel-first, (b, c, V)."""
     g_a = blocks._t(u) @ v
     left, right = (blocks._t(getattr(t, name)) for name in recipe.pair)
     m = graph.compute_affinity(left, right, kernel)
@@ -520,7 +530,7 @@ def dense_affinity_backward(t, recipe, kernel, u, v, av, atu):
         width = left.shape[-1]
         g_m *= np.exp(left @ blocks._t(right) / np.sqrt(width))
         g_m /= np.sqrt(width)
-    return g_m
+    return blocks._t(right) @ blocks._t(g_m), blocks._t(left) @ g_m
 
 
 def assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch):
@@ -564,8 +574,38 @@ def test_affinity_backward_matches_dense_form(variant, kernel, h, w, b, monkeypa
     assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch)
 
 
+# 16x16 grids, and CGNL's flattened 8x8 x c_s = 4 graph: 256 vertices, so
+# each matrix (512 KiB) passes one panel and the backward runs in panels
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("variant,kernel,side,c_s", [
+    ("NL", "exp_dot", 16, 2), ("SNL", "exp_dot", 16, 2), ("CC", "exp_dot", 16, 2),
+    ("A2", "dot", 16, 2), ("CGNL", "exp_dot", 8, 4),
+])
+def test_panelled_backward_matches_dense_form(variant, kernel, side, c_s, b, monkeypatch):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=c_s, kernel=kernel)
+    assert len(graph._panels(b, blocks._vertices(cfg, side * side))) > 1
+    rng = np.random.default_rng(36)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, side * side, 4))
+    gs = rng.normal(size=xs.shape)
+    assert_matches_dense_backward(cfg, params, xs, gs, side, side, monkeypatch)
+
+
+def test_training_stacks_run_one_panel(monkeypatch):
+    # every kernel and affinity backward of an SGD step (B=32, V=64) and
+    # of an evaluation is one panel, the whole stack, as before panels
+    seen = []
+    panels = graph._panels
+    monkeypatch.setattr(graph, "_panels", lambda b, n: seen.append(panels(b, n)) or seen[-1])
+    data = harness.gen_dataset(seed=0, n_samples=64, c=4)
+    net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
+    harness.train(net, data, steps=2, lr=0.03, seed=0, batch_size=32, eval_every=2)
+    assert len(seen) >= 5  # two forwards, two backwards, an evaluation
+    assert all(p == [slice(0, 64)] for p in seen)
+
+
 def axis_sum_affinity_backward(t, recipe, kernel, u, v, av, atu):
-    """``blocks._affinity_backward`` with its row sums rho and r as
+    """dL/dS of ``blocks._affinity_factors`` with its row sums rho and r as
     np.sum over the channel-first factors' short axis and each factor
     scaled on its own."""
     d = None if t.d is None else t.d[:, None, :]
@@ -603,7 +643,10 @@ def test_affinity_backward_row_sums_match_axis_sums(variant, kernel, b):
     _, (tape,) = blocks.block_forward_batch(xs, 3, 4, cfg, params)
     _, _, factors = blocks._polynomial_backward(tape, cfg, params, gs)
     recipe = blocks._RECIPES[variant]
-    got = blocks._affinity_backward(tape, recipe, kernel, *factors)
+    left, right, kept = blocks._affinity_factors(tape, recipe, kernel, *factors)
+    got = blocks._t(left) @ right
+    if kept is not None:
+        got *= kept
     want = axis_sum_affinity_backward(tape, recipe, kernel, *factors)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

@@ -29,6 +29,76 @@ def test_feature_map_shape_check():
         FeatureMap(3, 4, 2, np.zeros((11, 2)))
 
 
+@pytest.mark.parametrize("h,w,values", [(-1, -3, np.ones((3, 4))), (0, 3, np.zeros((0, 4))),
+                                        (3, 0, np.zeros((0, 4)))])
+def test_feature_map_rejects_grids_without_positions(h, w, values):
+    # a -1 x -3 "grid" of 3 positions is no grid
+    with pytest.raises(ShapeError, match="no positions"):
+        FeatureMap(h, w, 4, values)
+
+
+@pytest.mark.parametrize("kernel", graph.KERNELS)
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+def test_empty_embeddings_raise_shape_error(kernel, shape):
+    with pytest.raises(ShapeError, match="no rows"):
+        graph.kernel_matrix(np.zeros(shape), np.zeros(shape), kernel)
+    with pytest.raises(ShapeError, match="no rows"):
+        graph.compute_affinity(np.zeros(shape), np.zeros(shape), kernel)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_degrees_of_a_graph_without_vertices_raise_shape_error(shape):
+    with pytest.raises(ShapeError, match="no vertices"):
+        graph.degrees(np.zeros(shape))
+
+
+def one_product_kernel(phi, psi):
+    """exp_dot as one product of the whole stack, then one in-place exp."""
+    s = (phi / np.sqrt(phi.shape[-1])) @ psi.swapaxes(-1, -2)
+    return np.exp(s, out=s)
+
+
+# a 16x16 grid: a 256-vertex matrix (512 KiB) passes one panel
+PANEL_N = 256
+
+
+@pytest.mark.parametrize("shape", [(PANEL_N, 4), (1, PANEL_N, 4), (2, PANEL_N, 4)])
+def test_expdot_panels_match_one_product_bitwise(shape):
+    b = 1 if len(shape) == 2 else shape[0]
+    assert len(graph._panels(b, PANEL_N)) > 1
+    rng = np.random.default_rng(3)
+    phi, psi = rng.normal(size=shape), rng.normal(size=shape)
+    got = graph.kernel_matrix(phi, psi, "exp_dot")
+    assert got.shape == shape[:-1] + (PANEL_N,)
+    assert np.array_equal(got, one_product_kernel(phi, psi))
+
+
+@pytest.mark.parametrize("hot_rows", [[-1], [0, -1], [-1, 0]])
+def test_expdot_guard_names_the_stack_max_across_panels(hot_rows):
+    # exponents past the guard in the last panel, or in the first panel
+    # with the larger one in the last: the message names the largest
+    # exponent of the whole stack, as one product's max does
+    rng = np.random.default_rng(4)
+    phi = rng.normal(0.0, 0.3, size=(2, PANEL_N, 4))
+    psi = rng.normal(0.0, 0.3, size=(2, PANEL_N, 4))
+    psi[1, 5] = 40.0
+    for scale, row in zip((30.0, 45.0), hot_rows):
+        phi[1, row] = scale
+    s = (phi / 2.0) @ psi.swapaxes(-1, -2)
+    assert s[:, graph._panels(2, PANEL_N)[-1]].max() > graph.EXP_GUARD
+    want = f"exp_dot exponent {float(s.max()):.3g} exceeds guard {graph.EXP_GUARD:g}"
+    with pytest.raises(AffinityOverflowError) as exc:
+        graph.kernel_matrix(phi, psi, "exp_dot")
+    assert str(exc.value) == want
+
+
+def test_small_stacks_are_one_panel():
+    # a training stack (B=32, V=64, 1 MiB) and every oracle case stay whole
+    for b in (1, 32, 150):
+        assert graph._panels(b, 64) == [slice(0, 64)]
+    assert graph._panels(1, 1024) == [slice(i, i + 32) for i in range(0, 1024, 32)]
+
+
 def test_kernel_dot_matches_manual():
     rng = np.random.default_rng(1)
     phi = rng.normal(size=(5, 3))

@@ -42,3 +42,24 @@ def test_oracle_pairs_times_both_oracle_commands():
     for row in rows:
         assert result[row]["change_won"] in ("0/1", "1/1")
         assert result[row]["parent_ms"] > 0 and result[row]["change_ms"] > 0
+
+
+def test_block_pairs_times_the_block_mix_of_two_trees():
+    # the same tree on both sides, one counted round: a row per
+    # configuration and one for the mix, and outputs that do not differ
+    src = os.path.dirname(os.path.dirname(blocks.__file__))
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "block_pairs.py"), src, src,
+         "--rounds", "1", "--seed", "3"], capture_output=True, text=True, check=True,
+        timeout=300).stdout
+    lines = out.splitlines()
+    rows = ["NL", "NS", "A2", "A2_dot", "CGNL", "CC", "SNL", "SNL_A1", "SNL_A2",
+            "CHEB_K2", "CHEB_K4", "CHEB_K8", "mix"]
+    assert [line.split()[0] for line in lines[:-2]] == rows
+    assert lines[-2].startswith("largest difference: forward 0 ")
+    result = json.loads(lines[-1])
+    assert result["rounds"] == 1 and result["seed"] == 3
+    assert result["max_forward_abs_diff"] == 0.0 and result["max_gradient_rel_diff"] == 0.0
+    for row in rows:
+        assert result[row]["change_won"] in ("0/1", "1/1")
+        assert result[row]["parent"]["median"] > 0 and result[row]["change"]["median"] > 0
