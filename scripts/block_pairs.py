@@ -1,6 +1,6 @@
 """Interleaved timing of the N = 1024 block mix of two snl trees.
 
-    python3 scripts/block_pairs.py PARENT_SRC CHANGE_SRC [--rounds 20] [--seed 0]
+    python3 scripts/block_pairs.py PARENT_SRC CHANGE_SRC [--rounds 20] [--seed 0] [--stacks]
 
 PARENT_SRC and CHANGE_SRC are source directories that each hold an
 ``snl`` package, such as the ``src`` of two checkouts. Both load into one
@@ -13,6 +13,11 @@ written out here: importing perfbench's phases would import a third
 ``snl``. Each round runs every configuration on both sides, and the side
 that runs first alternates between rounds. A warm-up round is run and not
 counted; its outputs give the largest difference between the two sides.
+
+With ``--stacks`` it times ``STACKS`` instead: batched stacks of 2-126
+matrices of 182-1024 vertices on both sides of the panel rule
+(``graph._panels``), each as one ``block_forward_batch`` and one
+``block_backward_batch``, which is how ``snl train`` calls the core.
 
 For each configuration and for the whole mix it prints each side's median
 and quartiles in ms, the ratio of the medians (change over parent) and the
@@ -29,7 +34,7 @@ import time
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from train_pairs import load_tree  # noqa: E402
+from train_pairs import load_tree, row, summary  # noqa: E402
 
 C_IN, C_S = 8, 4
 # (label, variant, kernel, order, grid side): perfbench's blocks_n1024 mix;
@@ -48,17 +53,41 @@ MIX = [
     ("CHEB_K4", "CHEB_K", "exp_dot", 4, 32),
     ("CHEB_K8", "CHEB_K", "exp_dot", 8, 32),
 ]
+# (label, variant, c_s, grid height, grid width, batch): stacks whose
+# matrices pass one graph.PANEL_BYTES, from a few N = 1024 maps to the
+# B = 32 stacks of CGNL training at c_s = 3 and 4 and a B = 126 stack
+STACKS = [
+    ("NL_V1024_B2", "NL", 4, 32, 32, 2),
+    ("NL_V1024_B4", "NL", 4, 32, 32, 4),
+    ("SNL_V1024_B4", "SNL", 4, 32, 32, 4),
+    ("NL_V484_B8", "NL", 2, 22, 22, 8),
+    ("NL_V256_B16", "NL", 2, 16, 16, 16),
+    ("CGNL_V256_B32", "CGNL", 4, 8, 8, 32),
+    ("SNL_V256_B32", "SNL", 2, 16, 16, 32),
+    ("CGNL_V192_B16", "CGNL", 3, 8, 8, 16),
+    ("CGNL_V192_B32", "CGNL", 3, 8, 8, 32),
+    ("NL_V196_B32", "NL", 2, 14, 14, 32),
+    ("SNL_V256_B64", "SNL", 2, 16, 16, 64),
+    ("NL_V182_B126", "NL", 2, 13, 14, 126),
+]
 
 
 class Side:
     """One tree's configurations, inputs and parameters, drawn from the
-    seed in perfbench's order, so both sides get the same arrays."""
+    seed in perfbench's order (or in ``STACKS`` order), so both sides get
+    the same arrays."""
 
-    def __init__(self, pkg, seed: int):
+    def __init__(self, pkg, seed: int, stacks: bool):
         blocks, graph = pkg.blocks, pkg.graph
         self.blocks = blocks
         rng = np.random.default_rng(seed)
         self.cases = []
+        if stacks:
+            for label, variant, c_s, height, width, batch in STACKS:
+                cfg = blocks.BlockConfig(variant=variant, c_in=C_IN, c_s=c_s)
+                x = (rng.normal(size=(batch, height * width, C_IN)), height, width)
+                self.cases.append((label, cfg, x, blocks.random_params(cfg, rng)))
+            return
         for label, variant, kernel, order, side in MIX:
             cfg = blocks.BlockConfig(variant=variant, c_in=C_IN, c_s=C_S, order=order,
                                      kernel=kernel)
@@ -66,15 +95,20 @@ class Side:
             self.cases.append((label, cfg, x, blocks.random_params(cfg, rng)))
 
     def run(self, i: int) -> tuple[float, tuple]:
-        """Seconds for configuration i's forward and forward + backward, and
-        the outputs of the latter: Y, dL/dX and the parameter gradients."""
+        """Seconds for configuration i's forward and forward + backward (a
+        stack's batched forward and backward), and the outputs of the
+        latter: Y, dL/dX and the parameter gradients."""
         _, cfg, x, p = self.cases[i]
         blocks = self.blocks
         t0 = time.perf_counter()
-        blocks.block_forward(x, cfg, p)
-        y = blocks.block_forward(x, cfg, p)
-        gx, grads = blocks.block_backward(x, cfg, p, 2.0 * y.values)
-        return time.perf_counter() - t0, (y.values, gx, grads)
+        if isinstance(x, tuple):
+            y, tapes = blocks.block_forward_batch(*x, cfg, p)
+            gx, grads = blocks.block_backward_batch(tapes, cfg, p, 2.0 * y)
+        else:
+            blocks.block_forward(x, cfg, p)
+            y = blocks.block_forward(x, cfg, p).values
+            gx, grads = blocks.block_backward(x, cfg, p, 2.0 * y)
+        return time.perf_counter() - t0, (y, gx, grads)
 
 
 def largest_differences(parent: tuple, change: tuple) -> tuple[float, float]:
@@ -86,26 +120,19 @@ def largest_differences(parent: tuple, change: tuple) -> tuple[float, float]:
     return float(np.abs(y1 - y0).max()), rel
 
 
-def summary(parent: list[float], change: list[float]) -> dict:
-    p, c = np.asarray(parent) * 1e3, np.asarray(change) * 1e3
-    side = lambda a: dict(zip(("q1", "median", "q3"), np.round(np.percentile(a, [25, 50, 75]), 2)))
-    return {"parent": side(p), "change": side(c),
-            "change_over_parent": round(float(np.median(c) / np.median(p)), 3),
-            "change_won": f"{int(np.sum(c < p))}/{len(p)}"}
-
-
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--stacks", action="store_true", help="time STACKS, not the N = 1024 mix")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    sides = {"parent": Side(load_tree(args.parent_src, "snl_parent"), args.seed),
-             "change": Side(load_tree(args.change_src, "snl_change"), args.seed)}
-    labels = [label for label, *_ in MIX]
+    sides = {"parent": Side(load_tree(args.parent_src, "snl_parent"), args.seed, args.stacks),
+             "change": Side(load_tree(args.change_src, "snl_change"), args.seed, args.stacks)}
+    labels = [label for label, *_ in (STACKS if args.stacks else MIX)]
     timings = {key: {s: [] for s in sides} for key in labels + ["mix"]}
     fwd_diff = grad_diff = 0.0
     for rnd in range(args.rounds + 1):  # round 0 warms up
@@ -124,14 +151,14 @@ def main(argv=None) -> None:
         if rnd:
             for name in sides:
                 timings["mix"][name].append(total[name])
-    result = {"rounds": args.rounds, "seed": args.seed,
-              "unit": "ms per forward + forward-backward pair; mix: ms per pass over all 12"}
+    unit = ("ms per batched forward + backward" if args.stacks
+            else "ms per forward + forward-backward pair")
+    result = {"rounds": args.rounds, "seed": args.seed, "stacks": args.stacks,
+              "unit": f"{unit}; mix: ms per pass over all {len(labels)}"}
+    width = max(map(len, labels)) + 1
     for key, t in timings.items():
-        result[key] = s = summary(t["parent"], t["change"])
-        print(f"{key:<8} parent {s['parent']['median']:>8} [{s['parent']['q1']}, "
-              f"{s['parent']['q3']}]  change {s['change']['median']:>8} [{s['change']['q1']}, "
-              f"{s['change']['q3']}]  ratio {s['change_over_parent']:.3f}  "
-              f"change won {s['change_won']}")
+        result[key] = s = summary(t["parent"], t["change"], 1e3, digits=2)
+        print(row(key, s, width))
     result["max_forward_abs_diff"] = fwd_diff
     result["max_gradient_rel_diff"] = grad_diff
     print(f"largest difference: forward {fwd_diff:.3g} (absolute), gradients {grad_diff:.3g} "

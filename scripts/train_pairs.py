@@ -82,12 +82,24 @@ class Side:
         return time.perf_counter() - t0
 
 
-def summary(parent: list[float], change: list[float], unit: float) -> dict:
+def summary(parent: list[float], change: list[float], unit: float, digits: int = 1) -> dict:
+    """Each side's quartiles of the timings, in seconds times ``unit`` and
+    rounded to ``digits`` decimals, the ratio of the medians (change over
+    parent) and the rounds the change won."""
     p, c = np.asarray(parent) * unit, np.asarray(change) * unit
-    side = lambda a: dict(zip(("q1", "median", "q3"), np.round(np.percentile(a, [25, 50, 75]), 1)))
+    side = lambda a: dict(zip(("q1", "median", "q3"),
+                              np.round(np.percentile(a, [25, 50, 75]), digits)))
     return {"parent": side(p), "change": side(c),
             "change_over_parent": round(float(np.median(c) / np.median(p)), 3),
             "change_won": f"{int(np.sum(c < p))}/{len(p)}"}
+
+
+def row(key: str, s: dict, width: int) -> str:
+    """One printed line of a ``summary``."""
+    return (f"{key:<{width}} parent {s['parent']['median']:>8} [{s['parent']['q1']}, "
+            f"{s['parent']['q3']}]  change {s['change']['median']:>8} [{s['change']['q1']}, "
+            f"{s['change']['q3']}]  ratio {s['change_over_parent']:.3f}  "
+            f"change won {s['change_won']}")
 
 
 def main(argv=None) -> None:
@@ -117,10 +129,7 @@ def main(argv=None) -> None:
     for key, t in timings.items():
         unit = 1e6 if key.endswith("step") else 1e3
         result[key] = s = summary(t["parent"], t["change"], unit)
-        print(f"{key:<13} parent {s['parent']['median']:>8} [{s['parent']['q1']}, "
-              f"{s['parent']['q3']}]  change {s['change']['median']:>8} [{s['change']['q1']}, "
-              f"{s['change']['q3']}]  ratio {s['change_over_parent']:.3f}  "
-              f"change won {s['change_won']}")
+        print(row(key, s, 13))
     print(json.dumps(result))
 
 

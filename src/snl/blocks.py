@@ -23,14 +23,17 @@ array, and the degrees d, and ``_Affinity`` applies A and A^T to thin
 operands as diagonal scalings around products with M. The backward takes
 the kernel's gradient as a product of thin factors
 (``_affinity_factors``) and never forms it past one panel: where one
-(V, V) matrix holds more than ``graph.PANEL_BYTES`` (256 KiB, V >= 182)
-it runs in row panels, each multiplied by M's rows and by both
-embeddings while it is in cache (``_affinity_backward``), as the exp_dot
-kernel is built (``graph.kernel_matrix``). At V = 1024 that ran the
-blocks_n1024 mix (one forward and one forward + backward of each of its
-12 configurations, B = 1) at 0.87-0.90x of whole (V, V) passes on a
-2-core x86-64 VM, forward outputs bitwise equal. Smaller matrices, a
-training stack (B = 32, V = 64) and every oracle case, are one panel.
+(V, V) matrix holds at least two ``graph.PANEL_BYTES`` (256 KiB, so
+V >= 256) and a tile at most ``graph.PANEL_MATRICES`` (32) of them, it
+runs in row panels, each multiplied by M's rows and by both embeddings
+while it is in cache (``_affinity_backward``), as the exp_dot kernel is
+built (``graph.kernel_matrix``). At V = 1024 that ran the blocks_n1024
+mix (one forward and one forward + backward of each of its 12
+configurations, B = 1) at 0.891-0.924x of whole (V, V) passes on a
+2-core x86-64 VM (three runs, 58 of 60 rounds won, BENCH_19.json),
+forward outputs bitwise equal. Smaller matrices, a training stack
+(B = 32, V = 64) and every oracle case, are one panel, and so is a tile
+of more than 32 matrices.
 
 A thin stack keeps its long axis last. Every thin array the core makes
 (phi, psi, z, the node signal and its powers, their gradients, the degree
@@ -329,8 +332,9 @@ class Tape:
     ``TILE_BYTES`` (32 MiB; a B = 32, N = 64 call holds 1 MiB). All are
     plain arrays, checked where they enter the core. Inside a tile, the
     kernel and its gradient run in ``graph.PANEL_BYTES`` row panels when
-    one (V, V) matrix passes 256 KiB (V >= 182, 32 rows at V = 1024);
-    a tile of smaller matrices is one panel.
+    one (V, V) matrix holds two of them (V >= 256, 32 rows at V = 1024)
+    and the tile at most ``graph.PANEL_MATRICES`` (32) matrices; any
+    other tile is one panel.
 
     Arrays carry the tile's batch axis first, and a thin stack keeps its
     long axis last, so NumPy's inner loops run over N or V and not over
@@ -518,9 +522,10 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # evaluation call (B = 32, N = 64, 1 MiB) is one tile; CGNL's large
 # flattened graphs still split. With the thresholds pinned, one stack beat
 # 256 KiB tiles in SGD steps at B = 32, 64 and 128 for SNL, NL and CHEB_K.
-# Inside a tile, a kernel and its gradient run in row panels of at most
-# graph.PANEL_BYTES once one (V, V) matrix is larger; it sits in graph,
-# which builds the kernel and cannot import this module.
+# Inside a tile of at most graph.PANEL_MATRICES matrices, a kernel and its
+# gradient run in row panels of at most graph.PANEL_BYTES once one (V, V)
+# matrix holds two of them; both sit in graph, which builds the kernel
+# and cannot import this module.
 TILE_BYTES = _MALLOC_THRESHOLD_BYTES
 
 
@@ -722,11 +727,11 @@ def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu):
     dL/dS is taken in ``graph._panels`` row panels: each panel's product
     of the factors, its product with the kept array's rows and its two
     products with the embeddings run while it is still in cache, so the
-    (V, V) dL/dS is never formed when one matrix passes
-    ``graph.PANEL_BYTES``.
+    (V, V) dL/dS is never formed when one matrix holds two
+    ``graph.PANEL_BYTES`` in a stack of at most ``graph.PANEL_MATRICES``.
     The left input's gradient is written panel by panel and the right
-    input's is summed over the panels, in panel order. A stack of smaller
-    matrices is one panel."""
+    input's is summed over the panels, in panel order. Any other stack is
+    one panel."""
     f_left, f_right, kept = _affinity_factors(t, recipe, kernel, u, v, av, atu)
     emb_l, emb_r = (getattr(t, name) for name in recipe.pair)
     g_left, g_right = np.empty_like(emb_l), 0.0

@@ -31,15 +31,21 @@ EXP_GUARD = 700.0
 # of L2 per core) an in-place multiply of two 8 MiB arrays took 0.8 ms
 # against 1.3 ms for an in-place exp of one. So the exp_dot kernel and
 # the block backward (``blocks``) run in row panels of at most this many
-# bytes when one matrix is larger, and work on each panel while it is
-# still in cache. At V = 1024 (B = 1, 32 rows a panel) the blocks_n1024
-# mix ran at 0.87-0.90x of whole (V, V) passes in three in-process runs
-# (``scripts/block_pairs.py``, 37 of 38 rounds won); 128 KiB and 512 KiB
-# panels were level with 256 KiB (0.998x and 0.999x). Stacks of smaller
-# matrices (B = 32, V = 64 training stacks, every oracle case) stay
-# whole: cut into row halves, a B = 32, V = 64 SGD step ran 1.10-1.11x
-# slower.
+# bytes when one matrix holds at least two of them (V >= 256), and work
+# on each panel while it is still in cache. At V = 1024 (B = 1, 32 rows a
+# panel) the blocks_n1024 mix ran at 0.891-0.924x of whole (V, V) passes
+# in three runs of ``scripts/block_pairs.py`` (58 of 60 rounds won,
+# BENCH_19.json). Smaller matrices stay whole: cut into row halves, a
+# B = 32, V = 64 SGD step ran 1.10-1.11x slower, and at V = 192-196
+# panels showed no steady gain (0.80-1.12x over runs).
 PANEL_BYTES = 256 * 1024
+# A stack of more than this many matrices stays whole as well: each panel
+# takes one small product per matrix, and past 32 of them that dispatch
+# outweighs the cache (``block_pairs.py --stacks``, two runs: 1.08-1.13x
+# at B = 64, V = 256, and 1.57-1.65x at B = 126, V = 182, one row a
+# panel). Stacks of 2-32 matrices of V = 256-1024 ran at 0.70-1.07x,
+# most below 1.
+PANEL_MATRICES = 32
 
 
 @dataclass
@@ -97,20 +103,20 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
     (N, C_s) matrices or (B, N, C_s) stacks, giving (N, N) or (B, N, N).
 
     exp_dot builds M in row panels (``_panels``) when one (N, N) matrix
-    holds more than ``PANEL_BYTES`` (256 KiB, N >= 182): each panel's
-    product is written straight into M, checked against the guard and
-    exponentiated in place while it is still in cache. A stack of smaller
-    matrices is one panel: one product, one max and one exp. The panels
-    give the one-product kernel bit for bit, and the guard's message
-    names the largest exponent of the whole stack. Raises ``ShapeError``
-    for embeddings with no rows.
+    holds at least two ``PANEL_BYTES`` (256 KiB, N >= 256) and the stack at
+    most ``PANEL_MATRICES`` (32): each panel's product is written straight
+    into M, checked against the guard and exponentiated in place while it
+    is still in cache. Any other stack is one panel: one product, one max
+    and one exp. The panels give the one-product kernel bit for bit, and
+    the guard's message names the largest exponent of the whole stack.
+    Raises ``ShapeError`` for an empty stack or embeddings with no rows.
     """
     phi = np.asarray(phi, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
     if phi.shape != psi.shape or phi.ndim not in (2, 3):
         raise ShapeError(f"affinity: phi {phi.shape} vs psi {psi.shape}")
-    if phi.shape[-2] == 0:
-        raise ShapeError(f"affinity: embeddings {phi.shape} have no rows")
+    if 0 in phi.shape[:-1]:
+        raise ShapeError(f"affinity: embeddings {phi.shape} are empty")
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise NumericError("affinity: embedded features contain non-finite entries")
     psi_t = psi.swapaxes(-1, -2)
@@ -137,9 +143,10 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
 
 def _panels(batch: int, n: int) -> list[slice]:
     """Row ranges of a (batch, N, N) stack: the whole stack when one matrix
-    holds at most ``PANEL_BYTES``, else panels of as many rows of every
+    holds less than two ``PANEL_BYTES`` or the stack more than
+    ``PANEL_MATRICES`` matrices, else panels of as many rows of every
     matrix as fit in ``PANEL_BYTES`` (at least one row)."""
-    if 8 * n * n <= PANEL_BYTES:
+    if 8 * n * n < 2 * PANEL_BYTES or batch > PANEL_MATRICES:
         return [slice(0, n)]
     rows = max(1, PANEL_BYTES // (8 * batch * n))
     return [slice(i, i + rows) for i in range(0, n, rows)]
@@ -170,8 +177,8 @@ def degrees(values: np.ndarray) -> np.ndarray:
     """Row-sum degree vector of an affinity array; validates the
     normalization domain."""
     _check_square(values, "normalize")
-    if values.shape[-1] == 0:
-        raise ShapeError(f"degrees: affinity {values.shape} has no vertices")
+    if values.size == 0:
+        raise ShapeError(f"degrees: affinity {values.shape} is empty")
     _check_nonnegative(values)
     return _check_degrees(values.sum(axis=-1))
 

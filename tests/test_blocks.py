@@ -575,7 +575,7 @@ def test_affinity_backward_matches_dense_form(variant, kernel, h, w, b, monkeypa
 
 
 # 16x16 grids, and CGNL's flattened 8x8 x c_s = 4 graph: 256 vertices, so
-# each matrix (512 KiB) passes one panel and the backward runs in panels
+# each matrix (512 KiB) holds two panels and the backward runs in panels
 @pytest.mark.parametrize("b", [1, 2])
 @pytest.mark.parametrize("variant,kernel,side,c_s", [
     ("NL", "exp_dot", 16, 2), ("SNL", "exp_dot", 16, 2), ("CC", "exp_dot", 16, 2),

@@ -38,17 +38,18 @@ def test_feature_map_rejects_grids_without_positions(h, w, values):
 
 
 @pytest.mark.parametrize("kernel", graph.KERNELS)
-@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2), (0, 3, 2), (0, 256, 2)])
 def test_empty_embeddings_raise_shape_error(kernel, shape):
-    with pytest.raises(ShapeError, match="no rows"):
+    # no rows, or an empty stack of small or of panelled matrices
+    with pytest.raises(ShapeError, match="empty"):
         graph.kernel_matrix(np.zeros(shape), np.zeros(shape), kernel)
-    with pytest.raises(ShapeError, match="no rows"):
+    with pytest.raises(ShapeError, match="empty"):
         graph.compute_affinity(np.zeros(shape), np.zeros(shape), kernel)
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
-def test_degrees_of_a_graph_without_vertices_raise_shape_error(shape):
-    with pytest.raises(ShapeError, match="no vertices"):
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 3, 3)])
+def test_degrees_of_an_empty_graph_raise_shape_error(shape):
+    with pytest.raises(ShapeError, match="empty"):
         graph.degrees(np.zeros(shape))
 
 
@@ -58,7 +59,7 @@ def one_product_kernel(phi, psi):
     return np.exp(s, out=s)
 
 
-# a 16x16 grid: a 256-vertex matrix (512 KiB) passes one panel
+# a 16x16 grid: a 256-vertex matrix (512 KiB) holds two panels
 PANEL_N = 256
 
 
@@ -93,10 +94,19 @@ def test_expdot_guard_names_the_stack_max_across_panels(hot_rows):
 
 
 def test_small_stacks_are_one_panel():
-    # a training stack (B=32, V=64, 1 MiB) and every oracle case stay whole
-    for b in (1, 32, 150):
-        assert graph._panels(b, 64) == [slice(0, 64)]
+    # a training stack (B=32, V=64, 1 MiB), every oracle case and any
+    # matrix of less than two panels (V < 256) stay whole
+    for b, n in ((1, 64), (32, 64), (150, 64), (1, 255), (32, 196)):
+        assert graph._panels(b, n) == [slice(0, n)]
+    assert graph._panels(1, 256) == [slice(0, 128), slice(128, 256)]
     assert graph._panels(1, 1024) == [slice(i, i + 32) for i in range(0, 1024, 32)]
+
+
+def test_stacks_of_many_matrices_are_one_panel():
+    # past PANEL_MATRICES matrices a stack stays whole at any V
+    assert len(graph._panels(graph.PANEL_MATRICES, 256)) == 64
+    for b, n in ((graph.PANEL_MATRICES + 1, 256), (126, 1024)):
+        assert graph._panels(b, n) == [slice(0, n)]
 
 
 def test_kernel_dot_matches_manual():
