@@ -102,8 +102,8 @@ class Side:
         blocks = self.blocks
         t0 = time.perf_counter()
         if isinstance(x, tuple):
-            y, tapes = blocks.block_forward_batch(*x, cfg, p)
-            gx, grads = blocks.block_backward_batch(tapes, cfg, p, 2.0 * y)
+            y, tape = blocks.block_forward_batch(*x, cfg, p)
+            gx, grads = blocks.block_backward_batch(tape, cfg, p, 2.0 * y)
         else:
             blocks.block_forward(x, cfg, p)
             y = blocks.block_forward(x, cfg, p).values

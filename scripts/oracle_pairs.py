@@ -12,8 +12,9 @@ command after the other; the side that runs first alternates between
 rounds. A warm-up round is run and not counted.
 
 For each command, and for the gradcheck and verify totals of a round, it
-prints each side's median in ms, the ratio of the medians (change over
-parent) and the share of rounds the change won. It then reports whether
+prints each side's median and quartiles in ms, the ratio of the medians
+(change over parent) and the share of rounds the change won, in
+``train_pairs``' format. It then reports whether
 every call printed the same stdout on both sides, and ends with the same
 figures as one JSON line.
 """
@@ -27,10 +28,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from train_pairs import load_tree  # noqa: E402
+from train_pairs import load_tree, row, summary  # noqa: E402
 
 
 def commands(pkg) -> list[tuple[str, list[str]]]:
@@ -50,13 +49,6 @@ def timed(cli, argv: list[str]) -> tuple[float, str]:
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited with {code}:\n{out.getvalue()}")
     return seconds, out.getvalue()
-
-
-def summary(parent: list[float], change: list[float]) -> dict:
-    p, c = np.asarray(parent) * 1e3, np.asarray(change) * 1e3
-    return {"parent_ms": round(float(np.median(p)), 3), "change_ms": round(float(np.median(c)), 3),
-            "change_over_parent": round(float(np.median(c) / np.median(p)), 3),
-            "change_won": f"{int(np.sum(c < p))}/{len(p)}"}
 
 
 def main(argv=None) -> None:
@@ -95,10 +87,10 @@ def main(argv=None) -> None:
                     timings[total][side].append(sum(
                         timings[name][side][-1] for name, _ in rows if name.startswith(kind + ":")))
     result = {"rounds": args.rounds, "unit": "ms per command"}
+    width = max(map(len, timings)) + 1
     for name, t in timings.items():
-        result[name] = s = summary(t["parent"], t["change"])
-        print(f"{name:<38} parent {s['parent_ms']:>8.3f}  change {s['change_ms']:>8.3f}  "
-              f"ratio {s['change_over_parent']:.3f}  change won {s['change_won']}")
+        result[name] = s = summary(t["parent"], t["change"], 1e3, digits=3)
+        print(row(name, s, width))
     result["stdout_identical"] = not mismatched
     result["stdout_differs"] = sorted(mismatched)
     print("stdout identical on every call" if not mismatched

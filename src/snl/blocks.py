@@ -10,9 +10,11 @@ stack and returns the output with a ``Tape`` of intermediates, which
 The core carries plain arrays: it validates the input stack and the
 upstream gradient where they enter and checks that the output is finite,
 and wraps an affinity in ``AffinityMatrix`` only in ``build_block_affinity``.
-Each tile of a batched forward is one call of ``_forward_stack``, which the
-oracles (``gradcheck``, ``verify``) also call directly with a
-``_ParamStack``, one set of parameters per sample, and no validation.
+A batched call's samples are one (B, V, V) stack of kernels and one tape:
+the forward is one call of ``_forward_stack``, which the oracles
+(``gradcheck``, ``verify``) also call directly with a ``_ParamStack``,
+one set of parameters per sample, and no validation. Callers bound their
+own batches (``harness.EVAL_CHUNK``, ``gradcheck._PROBE_CALL_BYTES``).
 ``block_forward`` and ``block_backward`` are B=1 calls on a ``FeatureMap``;
 ``block_forward`` holds its tape for a ``block_backward`` whose arguments
 match byte for byte. The forward and ``generalized_forward`` evaluate the
@@ -24,7 +26,7 @@ operands as diagonal scalings around products with M. The backward takes
 the kernel's gradient as a product of thin factors
 (``_affinity_factors``) and never forms it past one panel: where one
 (V, V) matrix holds at least two ``graph.PANEL_BYTES`` (256 KiB, so
-V >= 256) and a tile at most ``graph.PANEL_MATRICES`` (32) of them, it
+V >= 256) and the stack at most ``graph.PANEL_MATRICES`` (32) of them, it
 runs in row panels, each multiplied by M's rows and by both embeddings
 while it is in cache (``_affinity_backward``), as the exp_dot kernel is
 built (``graph.kernel_matrix``). At V = 1024 that ran the blocks_n1024
@@ -32,7 +34,7 @@ mix (one forward and one forward + backward of each of its 12
 configurations, B = 1) at 0.891-0.924x of whole (V, V) passes on a
 2-core x86-64 VM (three runs, 58 of 60 rounds won, BENCH_19.json),
 forward outputs bitwise equal. Smaller matrices, a training stack
-(B = 32, V = 64) and every oracle case, are one panel, and so is a tile
+(B = 32, V = 64) and every oracle case, are one panel, and so is a stack
 of more than 32 matrices.
 
 A thin stack keeps its long axis last. Every thin array the core makes
@@ -327,16 +329,14 @@ def _reader(cfg: BlockConfig, n_positions: int):
 
 
 class Tape:
-    """Intermediates of one tile of a batched forward pass, read by the
-    backward pass: the whole stack in one tape when its kernels fit in
-    ``TILE_BYTES`` (32 MiB; a B = 32, N = 64 call holds 1 MiB). All are
-    plain arrays, checked where they enter the core. Inside a tile, the
+    """Intermediates of one batched forward pass, read by the backward
+    pass. All are plain arrays, checked where they enter the core. The
     kernel and its gradient run in ``graph.PANEL_BYTES`` row panels when
     one (V, V) matrix holds two of them (V >= 256, 32 rows at V = 1024)
-    and the tile at most ``graph.PANEL_MATRICES`` (32) matrices; any
-    other tile is one panel.
+    and the stack at most ``graph.PANEL_MATRICES`` (32) matrices; any
+    other stack is one panel.
 
-    Arrays carry the tile's batch axis first, and a thin stack keeps its
+    Arrays carry the batch axis first, and a thin stack keeps its
     long axis last, so NumPy's inner loops run over N or V and not over
     c_s (see the module docstring for the costs): x (B, N, C_in) as it
     entered; phi, psi, z (B, C_s, N), each the transpose of its (N, C_s)
@@ -357,8 +357,7 @@ class Tape:
 
 
 def _check_stack(values, height: int, width: int) -> np.ndarray:
-    if height < 1 or width < 1:
-        raise ShapeError(f"a {height}x{width} grid has no positions")
+    graph._check_grid(height, width)
     xv = linalg.as_stack(values)
     if xv.shape[0] == 0:
         raise ShapeError("empty batch")
@@ -421,7 +420,7 @@ _WIDE_DEGREE = 2.0 ** 512
 
 
 class _Affinity:
-    """The normalized affinity A of a tile as diagonal scalings around its
+    """The normalized affinity A of a stack as diagonal scalings around its
     kernel stack M, applied to channel-first thin operands; A is never
     formed.
 
@@ -475,7 +474,7 @@ class _Affinity:
 
 
 def _affinity(t: Tape, cfg: BlockConfig) -> _Affinity:
-    """A of a tile's tape, from its kernel M and degrees d."""
+    """A of a tape, from its kernel M and degrees d."""
     m, d, mode = t.m, t.d, _RECIPES[cfg.variant].normalization
     if d is None:
         return _Affinity(m, None, mode)
@@ -502,31 +501,20 @@ def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
 # threshold: 1 MiB each in an SGD step at B = 32, N = 64. glibc mapped
 # such arrays fresh and unmapped or trimmed them on free, and the next
 # array faulted their pages in again: about 720-775 minor faults per SGD
-# step of an SNL block, then cut into 256 KiB tiles. Pinning glibc's mmap
-# and trim thresholds at 32 MiB, the largest mmap threshold it takes,
-# keeps such arrays on the heap. Both are set because setting either one
+# step of an SNL block whose kernels were built in 256 KiB stacks. Pinning
+# glibc's mmap and trim thresholds at 32 MiB, the largest mmap threshold
+# it takes, keeps such arrays on the heap. Both are set because setting either one
 # alone switches off glibc's dynamic threshold and faults more than
-# neither. The setting is process-wide. It is made on the first batched
-# call whose tile arrays pass 128 KiB, and one-sample calls are left to
-# glibc's dynamic threshold: on a mix of one-sample N = 1024 calls that
-# already takes no faults, and pinning at import raised its peak RSS by
-# 8 MiB in 7 of 10 benchmark runs. Where glibc's mallopt is missing
-# nothing is set.
+# neither. The setting is process-wide. It is made on the first call of
+# more than one sample whose kernel stack passes 128 KiB, and one-sample
+# calls are left to glibc's dynamic threshold: on a mix of one-sample
+# N = 1024 calls that already takes no faults, and pinning at import
+# raised its peak RSS by 8 MiB in 7 of 10 benchmark runs. A stack past
+# 32 MiB (CGNL at c_s >= 6 and B = 32) is still mapped fresh. Where
+# glibc's mallopt is missing nothing is set.
 _GLIBC_MMAP_DEFAULT_BYTES = 128 * 1024
 _MALLOC_THRESHOLD_BYTES = 32 * 1024 * 1024
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-# The core runs over tiles of samples whose (V, V) kernel arrays hold at
-# most TILE_BYTES each, the pinned mmap threshold: a tile array of more
-# than one sample never passes it, so it stays on the heap. A training or
-# evaluation call (B = 32, N = 64, 1 MiB) is one tile; CGNL's large
-# flattened graphs still split. With the thresholds pinned, one stack beat
-# 256 KiB tiles in SGD steps at B = 32, 64 and 128 for SNL, NL and CHEB_K.
-# Inside a tile of at most graph.PANEL_MATRICES matrices, a kernel and its
-# gradient run in row panels of at most graph.PANEL_BYTES once one (V, V)
-# matrix holds two of them; both sit in graph, which builds the kernel
-# and cannot import this module.
-TILE_BYTES = _MALLOC_THRESHOLD_BYTES
 
 
 @functools.cache
@@ -539,45 +527,26 @@ def _pin_malloc_thresholds() -> None:
         mallopt(param, _MALLOC_THRESHOLD_BYTES)
 
 
-def _tiles(batch: int, cfg: BlockConfig, n_positions: int) -> list[slice]:
-    """Consecutive sample ranges, each one tile of the batch. The first
-    batched call whose tile arrays pass 128 KiB pins glibc's thresholds."""
-    n_vertices = _vertices(cfg, n_positions)
-    per_tile = max(1, TILE_BYTES // (8 * n_vertices * n_vertices))
-    if batch > 1 and 8 * min(batch, per_tile) * n_vertices**2 > _GLIBC_MMAP_DEFAULT_BYTES:
-        _pin_malloc_thresholds()
-    return [slice(i, i + per_tile) for i in range(0, batch, per_tile)]
-
-
-def _joined(parts: list) -> np.ndarray:
-    """The tiles' (b, N, C) stacks as one; a lone tile is not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def block_forward_batch(
     values: np.ndarray, height: int, width: int, cfg: BlockConfig, params: BlockParams
-) -> tuple[np.ndarray, list[Tape]]:
+) -> tuple[np.ndarray, Tape]:
     """Residual forward pass Y = X + F(A, Z) of a stack of B feature maps.
 
     ``values`` is (B, H*W, C_in), each sample in row-major grid order, and
-    is validated once here. Each sample gets its own (V, V) kernel; they
-    are built as (b, V, V) stacks over tiles of b samples whose kernels
-    hold at most ``TILE_BYTES``, so a training step (B = 32, N = 64) is one
-    tile and only large flattened CGNL graphs split. Returns Y
-    (B, H*W, C_in) and the tiles' Tapes, which ``block_backward_batch``
-    reads, so the affinity is built once per forward/backward pair.
+    is validated once here. Each sample gets its own (V, V) kernel, and
+    the B kernels are one (B, V, V) stack. Returns Y (B, H*W, C_in) and
+    the Tape that ``block_backward_batch`` reads, so the affinity is built
+    once per forward/backward pair.
     """
     check_params(cfg, params)
     xv = _check_stack(values, height, width)
-    ys, tapes = [], []
-    for tile in _tiles(xv.shape[0], cfg, height * width):
-        y, t = _forward_stack(xv[tile], height, width, cfg, params)
-        ys.append(y)
-        tapes.append(t)
-    y = _joined(ys)
+    n_vertices = _vertices(cfg, height * width)
+    if len(xv) > 1 and 8 * len(xv) * n_vertices**2 > _GLIBC_MMAP_DEFAULT_BYTES:
+        _pin_malloc_thresholds()
+    y, t = _forward_stack(xv, height, width, cfg, params)
     if not np.isfinite(y).all():
         raise NumericError("block output contains non-finite entries")
-    return y, tapes
+    return y, t
 
 
 def _forward_stack(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams, a=None):
@@ -642,7 +611,7 @@ def generalized_forward(
     return spectral._polynomial(a_values, z_node, list(enumerate(weights)))[0]
 
 
-# The tapes of the last block_forward and the key of its arguments, held
+# The key of the last block_forward's arguments and its tape, held
 # for a block_backward on the same arguments; None when nothing is held.
 # One entry per process, so at most one tape is ever held. Threads that
 # share it can only lose hits: a tape is read only under a matching key,
@@ -675,8 +644,8 @@ def block_forward(x: FeatureMap, cfg: BlockConfig, params: BlockParams) -> Featu
     key = _forward_key(x, cfg, params)
     # the tape keeps its own copy of the input: an in-place change of
     # x.values after this call must not reach a tape the key still matches
-    y, tapes = block_forward_batch(x.values.copy()[None], x.height, x.width, cfg, params)
-    _held = (key, tapes)
+    y, tape = block_forward_batch(x.values.copy()[None], x.height, x.width, cfg, params)
+    _held = (key, tape)
     return FeatureMap(x.height, x.width, x.channels, y[0])
 
 
@@ -745,40 +714,51 @@ def _affinity_backward(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu):
 
 
 def block_backward_batch(
-    tapes: list[Tape], cfg: BlockConfig, params: BlockParams, upstream_grad: np.ndarray
+    tape: Tape, cfg: BlockConfig, params: BlockParams, upstream_grad: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Analytic gradients of a batched forward pass, read from its Tapes.
+    """Analytic gradients of a batched forward pass, read from its Tape.
 
     Returns dL/dX as a (B, N, C_in) stack and, per parameter, the sum of
-    the B per-sample gradients. Each tile takes its sum over samples and
-    positions as one (b*N, .)^T (b*N, .) product, and the tiles' sums are
-    added in tile order, so repeated runs agree bit for bit. With
+    the B per-sample gradients, taken over samples and positions in a
+    fixed order, so repeated runs agree bit for bit. With
     ``backprop_affinity`` the gradient also flows through the kernel,
     mask, symmetrization, and degree normalization; otherwise A is
     treated as a constant.
     """
     check_params(cfg, params)
     g = linalg.as_stack(upstream_grad)
-    want = (sum(t.x.shape[0] for t in tapes),) + tapes[0].x.shape[1:]
-    if g.shape != want:
-        raise ShapeError(f"upstream grad {g.shape} vs output {want}")
-    gx, sums = [], {}
-    start = 0
-    for tape in tapes:
-        stop = start + tape.x.shape[0]
-        gx_tile, per_tile = _tile_backward(tape, cfg, params, g[start:stop])
-        gx.append(gx_tile)
-        for name, grad in per_tile.items():
-            _add(sums, name, grad)
-        start = stop
+    if g.shape != tape.x.shape:
+        raise ShapeError(f"upstream grad {g.shape} vs output {tape.x.shape}")
+    recipe = _RECIPES[cfg.variant]
+    sums, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
+    inputs = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
+    if g_a_factors is not None:
+        g_pair = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
+        for name, grad in zip(recipe.pair, g_pair):
+            _add(inputs, name, grad)
+    if "v" in inputs:  # v = vec(z)
+        _add(inputs, "z", inputs.pop("v").reshape(tape.z.shape))
+
+    gx = g + _t(inputs["x"]) if "x" in inputs else g
+    # the projections' gradients as one stack of rows: one product for
+    # dL/dX and one for the weights
+    projections = (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z"))
+    found = [(name, inputs[source]) for name, source in projections if source in inputs]
+    if found:
+        g_rows = _rows([grad for _, grad in found])
+        w = np.concatenate([getattr(params, name) for name, _ in found], axis=-1)
+        gx = gx + _t(g_rows) @ _t(w)
+        g_w = _t(_sum_products(g_rows, tape.x))
+        for i, (name, _) in enumerate(found):
+            sums[name] = g_w[:, i * cfg.c_s:(i + 1) * cfg.c_s]
     grads = {name: sums[name] if name in sums else np.zeros_like(mat)
              for name, mat in params.items()}
-    return _joined(gx), grads
+    return gx, grads
 
 
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
     """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
-    a tile: each role's gradient summed over the tile, dL/dz_node, and
+    a stack: each role's gradient summed over it, dL/dz_node, and
     dL/dA as the factors (u, v) of dL/dA = u^T v with the products A v and
     A^T u (None without ``backprop_affinity``), all channel-first.
 
@@ -795,11 +775,11 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     c = filter_shape(cfg)[0]
     g_w = _sum_products(_rows([read(tape.powers[k]) for k, _, _ in terms]), g)
     g_read = np.concatenate([sign * params.filters[role] for _, role, sign in terms]) @ _t(g)
-    per_tile = {}
+    per_role = {}
     g_p = [None] * (top + 1)
     for i, (k, role, sign) in enumerate(terms):
         contrib = sign * g_w[i * c:(i + 1) * c]
-        per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
+        per_role[role] = contrib if role not in per_role else per_role[role] + contrib
         r = unread(g_read[:, i * c:(i + 1) * c])
         g_p[k] = r if g_p[k] is None else g_p[k] + r
     a_t = _affinity(tape, cfg).T
@@ -812,7 +792,7 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
         # dL/dA = sum_k g_p[k]^T powers[k-1] = u^T v, one product over every
         # k; A v = powers[1:] and A^T u = a_t_g[1:] were taken above
         g_a = _rows(g_p[1:]), _rows(tape.powers[:top]), _rows(tape.powers[1:]), _rows(a_t_g[1:])
-    return per_tile, g_p[0], g_a
+    return per_role, g_p[0], g_a
 
 
 def _add(grads: dict, name: str, grad: np.ndarray) -> None:
@@ -835,33 +815,6 @@ def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.ones(len(a)) @ per_sample.reshape(len(a), -1)).reshape(per_sample.shape[1:])
 
 
-def _tile_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
-    """dL/dX of one tile and each parameter's gradient summed over it."""
-    recipe = _RECIPES[cfg.variant]
-    per_tile, g_node, g_a_factors = _polynomial_backward(tape, cfg, params, g)
-    grads = {recipe.node: g_node}  # keyed by the tape field they are the gradient of
-    if g_a_factors is not None:
-        g_pair = _affinity_backward(tape, recipe, cfg.kernel, *g_a_factors)
-        for name, grad in zip(recipe.pair, g_pair):
-            _add(grads, name, grad)
-    if "v" in grads:  # v = vec(z)
-        _add(grads, "z", grads.pop("v").reshape(tape.z.shape))
-
-    gx = g + _t(grads["x"]) if "x" in grads else g
-    # the projections' gradients as one stack of rows: one product for
-    # dL/dX and one for the weights
-    projections = (("w_phi", "phi"), ("w_psi", "psi"), ("w_z", "z"))
-    found = [(name, grads[source]) for name, source in projections if source in grads]
-    if found:
-        g_rows = _rows([grad for _, grad in found])
-        w = np.concatenate([getattr(params, name) for name, _ in found], axis=-1)
-        gx = gx + _t(g_rows) @ _t(w)
-        g_w = _t(_sum_products(g_rows, tape.x))
-        for i, (name, _) in enumerate(found):
-            per_tile[name] = g_w[:, i * cfg.c_s:(i + 1) * cfg.c_s]
-    return gx, per_tile
-
-
 def block_backward(
     x: FeatureMap, cfg: BlockConfig, params: BlockParams, upstream_grad: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -881,8 +834,8 @@ def block_backward(
     if g.shape != x.values.shape:
         raise ShapeError(f"upstream grad {g.shape} vs output {x.values.shape}")
     if held is not None and held[0] == _forward_key(x, cfg, params):
-        tapes = held[1]
+        tape = held[1]
     else:
-        _, tapes = block_forward_batch(x.values[None], x.height, x.width, cfg, params)
-    gx, grads = block_backward_batch(tapes, cfg, params, g[None])
+        _, tape = block_forward_batch(x.values[None], x.height, x.width, cfg, params)
+    gx, grads = block_backward_batch(tape, cfg, params, g[None])
     return gx[0], grads

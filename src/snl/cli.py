@@ -231,9 +231,9 @@ def _bench_once(variant: str, n: int, order: int, rng, backward: bool = False) -
     return _seconds(call)
 
 
-def _bench_train_step() -> tuple[list[float], float, list]:
+def _bench_train_step() -> tuple[list[float], float, blocks.Tape]:
     """Seconds of one SGD step of the toy net with an SNL block (B=32,
-    N=64, c_s=2), the minor page faults per step once warm, and the tapes
+    N=64, c_s=2), the minor page faults per step once warm, and the tape
     of the step's block call."""
     data = harness.gen_dataset(seed=0, n_samples=32, c=4)
     net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
@@ -249,9 +249,9 @@ def _bench_train_step() -> tuple[list[float], float, list]:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     times = _seconds(step)  # a warm-up step and BENCH_REPEATS timed ones
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    # taken after the count: tapes held across the steps would grow the heap
-    tapes = harness._forward_batch(net, data.values)["tapes"]
-    return times, faults / (BENCH_REPEATS + 1), tapes
+    # taken after the count: a tape held across the steps would grow the heap
+    tape = harness._forward_batch(net, data.values)["tape"]
+    return times, faults / (BENCH_REPEATS + 1), tape
 
 
 def _bench_evaluate() -> list[float]:
@@ -332,10 +332,10 @@ def _cmd_bench(args) -> int:
 
     # first, while the process is fresh: the step's faults would otherwise
     # depend on what the larger rows left in the allocator
-    step_times, step_faults, tapes = _bench_train_step()
+    step_times, step_faults, tape = _bench_train_step()
     record("train_step", harness.GRID * harness.GRID, 2, step_times, "B=32")
-    print(f"train_step minor page faults per step: {step_faults:.1f}, tapes per step: "
-          f"{len(tapes)}, MiB per tile: {max(t.m.nbytes for t in tapes) / 2**20:.2f}")
+    print(f"train_step minor page faults per step: {step_faults:.1f}, kernel MiB per step: "
+          f"{tape.m.nbytes / 2**20:.2f}")
     record("evaluate", harness.GRID * harness.GRID, 2, _bench_evaluate(),
            f"512 samples, B={harness.EVAL_CHUNK}")
     for variant in blocks.VARIANTS:

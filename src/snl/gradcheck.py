@@ -8,11 +8,11 @@ takes the differences of the input and every parameter in one
 ``finite_diff`` call on them laid end to end: its loss cuts each probe
 row back into the arrays and runs the probes through the block core's
 stacked entry ``blocks._forward_stack`` with one set of parameters per
-probe. A stack is split into chunks whose (b, V, V) kernels hold at most
-1 MiB, and never more than ``blocks.TILE_BYTES``: one core call per check
-on the CLI's 3x3 grid. Each probe's loss is summed over that probe's
-output alone, so the differences are the ones a one-probe call per entry
-gives, bit for bit.
+probe. The core builds each call's kernels as one stack, so a probe
+stack is split into chunks whose (b, V, V) kernels hold at most
+``_PROBE_CALL_BYTES`` (1 MiB): one core call per check on the CLI's 3x3
+grid. Each probe's loss is summed over that probe's output alone, so the
+differences are the ones a one-probe call per entry gives, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -26,11 +26,13 @@ from .errors import ConfigError, NumericError, ShapeError
 # central-difference step of every gradient check
 _EPS = 1e-5
 
-# Most bytes of (b, V, V) kernels in one probe call. A full TILE_BYTES
-# (32 MiB) call maps fresh pages each time, since it passes glibc's largest
-# dynamic mmap threshold, which the probe path leaves unpinned: an SNL
-# check on a 16x16 grid took 22,000 minor faults and 1.1-1.3 s, against
-# 1,800 faults and 0.65 s with 1 MiB calls (0.73 s one probe per call).
+# Most bytes of (b, V, V) kernels in one probe call; the block core
+# builds a call's kernels as one stack, so this bound is the probe path's.
+# A 32 MiB call maps fresh pages each time, since it passes glibc's
+# largest dynamic mmap threshold, which the probe path leaves unpinned: an
+# SNL check on a 16x16 grid took 22,000 minor faults and 1.1-1.3 s,
+# against 1,800 faults and 0.65 s with 1 MiB calls (0.73 s one probe per
+# call).
 _PROBE_CALL_BYTES = 1024 * 1024
 
 
@@ -61,13 +63,16 @@ def finite_diff(loss_fn, point: np.ndarray, eps: float) -> np.ndarray:
     in index order and then x - eps e_i in the same order, go to it in
     that order in consecutive parts of at most ``_PROBE_PART_BYTES`` (at
     least one probe each). A non-finite loss raises ``NumericError``
-    naming the first entry whose probes gave one.
+    naming the first entry whose probes gave one, and a point with no
+    entries ``ShapeError``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     point = np.asarray(point, dtype=np.float64)
     flat = point.ravel()
     n = flat.size
+    if n == 0:
+        raise ShapeError(f"point of shape {point.shape} has no entries to perturb")
     per_part = max(1, _PROBE_PART_BYTES // (8 * n))
     # probe k bumps entry k mod n, by +eps for k < n and by -eps after
     bumped = np.concatenate([flat + eps, flat - eps])
@@ -116,7 +121,7 @@ def check_block_gradients(
     height: int = 3,
     width: int = 3,
 ) -> list[GradReport]:
-    """Compare ``block_backward_batch``, reading the base forward's tapes,
+    """Compare ``block_backward_batch``, reading the base forward's tape,
     against central differences.
 
     Input and parameters are drawn from ``seed``; the scalar loss is the
@@ -136,10 +141,9 @@ def check_block_gradients(
     x = rng.normal(0.0, 0.7, size=(n, cfg.c_in))
     params = blocks.random_params(cfg, rng)
 
-    y, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tapes[0], cfg)
-    budget = min(blocks.TILE_BYTES, _PROBE_CALL_BYTES)
-    per_call = max(1, budget // (8 * blocks._vertices(cfg, n) ** 2))
+    y, tape = blocks.block_forward_batch(x[None], height, width, cfg, params)
+    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tape, cfg)
+    per_call = max(1, _PROBE_CALL_BYTES // (8 * blocks._vertices(cfg, n) ** 2))
     points = [("x", x), *params.items()]
     ends = np.cumsum([point.size for _, point in points])
     roles = list(params.filters)
@@ -160,7 +164,7 @@ def check_block_gradients(
             out.append(np.sum((ys ** 2).reshape(len(ys), -1), axis=1))
         return np.concatenate(out)
 
-    grad_x, grad_params = blocks.block_backward_batch(tapes, cfg, params, 2.0 * y)
+    grad_x, grad_params = blocks.block_backward_batch(tape, cfg, params, 2.0 * y)
     analytic = {"x": grad_x[0], **grad_params}
     floor = error_floor(float(np.sum(y[0] ** 2)), _EPS, tolerance)
     numeric = finite_diff(losses, np.concatenate([point.ravel() for _, point in points]), _EPS)

@@ -48,6 +48,16 @@ PANEL_BYTES = 256 * 1024
 PANEL_MATRICES = 32
 
 
+def _check_grid(height, width) -> None:
+    """Raise ``ShapeError`` unless height and width are integers of at
+    least 1; bool is an int subclass but no grid side."""
+    for side in (height, width):
+        if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
+            raise ShapeError(f"grid sides must be integers, got {height!r}x{width!r}")
+    if height < 1 or width < 1:
+        raise ShapeError(f"a {height}x{width} grid has no positions")
+
+
 @dataclass
 class FeatureMap:
     """A spatial signal: (H*W) x C matrix in row-major grid order."""
@@ -58,8 +68,7 @@ class FeatureMap:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ShapeError(f"feature map grid {self.height}x{self.width} has no positions")
+        _check_grid(self.height, self.width)
         self.values = linalg.as_matrix(self.values)
         n = self.height * self.width
         if self.values.shape != (n, self.channels):

@@ -157,7 +157,7 @@ def init_toynet(c: int, block_cfg: BlockConfig | None, seed: int) -> ToyNet:
 def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     """Forward pass on stacked samples (B, N, C); returns intermediates.
 
-    The block runs once on the whole stack; its tapes stay in the returned
+    The block runs once on the whole stack; its tape stays in the returned
     dict for ``_backward_batch``.
     """
     b, n, c = batch_values.shape
@@ -167,9 +167,9 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     ext = np.concatenate([batch_values, np.zeros((b, 1, c))], axis=1)
     patches = np.take(ext, _CONV_INDEX, axis=1).reshape(b, n, 9 * c)
     act = patches @ net.conv_w + net.conv_b
-    tapes = None
+    tape = None
     if net.block_cfg is not None:
-        blocked, tapes = blocks.block_forward_batch(act, GRID, GRID, net.block_cfg, net.block_params)
+        blocked, tape = blocks.block_forward_batch(act, GRID, GRID, net.block_cfg, net.block_params)
     else:
         blocked = act
     pooled = np.ones(n) @ blocked / n  # 12 us against 49 us for mean(axis=1)
@@ -177,7 +177,7 @@ def _forward_batch(net: ToyNet, batch_values: np.ndarray) -> dict:
     return {
         "patches": patches,
         "act": act,
-        "tapes": tapes,
+        "tape": tape,
         "pooled": pooled,
         "logits": logits,
     }
@@ -201,8 +201,8 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     thin-array rule: head and conv weight gradients are single products
     over the stacked batch, the biases' sums over it are products with a
     ones vector (``conv_b`` 6 us against 41 us for ``sum(axis=(0, 1))``
-    at B = 32), and ``blocks.block_backward_batch`` adds the block's
-    gradients over its tiles in order. Every reduction runs in a fixed
+    at B = 32), and ``blocks.block_backward_batch`` sums the block's
+    gradients over the stack. Every reduction runs in a fixed
     order, so a training run is bit-identical across repeats.
     """
     b, n, c = state["act"].shape
@@ -214,7 +214,7 @@ def _backward_batch(net: ToyNet, state: dict, dlogits: np.ndarray) -> dict:
     g_blocked = np.repeat((dlogits @ net.head_w.T / n)[:, None, :], n, axis=1)
     if net.block_cfg is not None:
         g_act, block_grads = blocks.block_backward_batch(
-            state["tapes"], net.block_cfg, net.block_params, g_blocked
+            state["tape"], net.block_cfg, net.block_params, g_blocked
         )
         grads.update((f"block.{name}", mat) for name, mat in block_grads.items())
     else:

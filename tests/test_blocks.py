@@ -27,7 +27,7 @@ def make_input(rng, h=3, w=3, c=4, positive=False):
 
 def one_sample_tape(x, cfg, params):
     """The tape of a batched forward on the one-sample stack of ``x``."""
-    _, (tape,) = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
+    _, tape = blocks.block_forward_batch(x.values[None], x.height, x.width, cfg, params)
     return tape
 
 
@@ -268,6 +268,42 @@ def test_batch_rejects_grids_without_positions(h, w, shape):
         blocks.block_forward_batch(np.ones(shape), h, w, cfg, params)
 
 
+# a float side, even a whole one, and a bool side are no grid
+NON_INTEGER_GRIDS = [(2.0, 2), (2, 2.0), (2.5, 1.6), (True, 4), (4, np.True_)]
+
+
+@pytest.mark.parametrize("variant", blocks.VARIANTS)
+def test_grid_sides_must_be_integers(variant):
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
+    params = blocks.random_params(cfg, np.random.default_rng(16))
+    xs = np.random.default_rng(17).normal(0.0, 0.5, size=(2, 4, 4))
+    for h, w in NON_INTEGER_GRIDS:
+        with pytest.raises(ShapeError, match="integers"):
+            blocks.block_forward(FeatureMap(h, w, 4, xs[0]), cfg, params)
+        with pytest.raises(ShapeError, match="integers"):
+            blocks.block_forward_batch(xs, h, w, cfg, params)
+    # NumPy integers are integers
+    side = np.int64(2)
+    y, _ = blocks.block_forward_batch(xs, side, side, cfg, params)
+    assert np.array_equal(blocks.block_forward(FeatureMap(side, side, 4, xs[0]), cfg,
+                                               params).values, y[0])
+
+
+@pytest.mark.parametrize("b,side,pins", [(32, 8, 1), (1, 32, 0), (2, 2, 0)])
+def test_batched_calls_past_128_kib_pin_the_allocator(b, side, pins, monkeypatch):
+    # a call of more than one sample whose kernel stack passes glibc's
+    # default 128 KiB mmap threshold pins it, as a B = 32, N = 64 step
+    # does (1 MiB); a one-sample call and a small stack do not
+    calls = []
+    monkeypatch.setattr(blocks, "_pin_malloc_thresholds", lambda: calls.append(1))
+    cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    rng = np.random.default_rng(18)
+    params = blocks.random_params(cfg, rng)
+    blocks.block_forward_batch(rng.normal(0.0, 0.5, size=(b, side * side, 4)), side, side,
+                               cfg, params)
+    assert len(calls) == pins
+
+
 def test_backward_upstream_shape_check():
     cfg = BlockConfig(variant="NL", c_in=4, c_s=2)
     params = blocks.random_params(cfg, np.random.default_rng(13))
@@ -299,16 +335,18 @@ def rel(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
-# 256 KiB holds each case's batch in one tile, as the default budget does;
-# 1: one sample per tile
-@pytest.mark.parametrize("tile_bytes", [256 * 1024, 1])
+# 256 KiB, graph.PANEL_BYTES, keeps each case's matrices whole; 1 cuts the
+# batched kernel and affinity gradient into one-row panels, which must agree
+# with whole one-sample calls
+@pytest.mark.parametrize("panel_bytes", [256 * 1024, 1])
 @pytest.mark.parametrize("variant,kernel,backprop,h,w", BATCH_CASES)
-def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, tile_bytes,
+def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, panel_bytes,
                                              monkeypatch):
-    monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
     cfg, params, xs, gs = batch_case(variant, kernel, backprop, h, w)
-    y, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    monkeypatch.setattr(graph, "PANEL_BYTES", panel_bytes)
+    y, tape = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, gs)
+    monkeypatch.undo()
     want_grads = {name: np.zeros_like(mat) for name, mat in params.items()}
     for k in range(xs.shape[0]):
         x = FeatureMap(h, w, 4, xs[k])
@@ -328,22 +366,21 @@ def assert_matches_finite_differences(cfg, params, xs, gs, h, w):
     stack of probes times samples; each parameter probe is one forward.
     Without ``backprop_affinity`` the loss holds each sample's A at its
     base-point value, as the backward does."""
-    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
+    _, tape = blocks.block_forward_batch(xs, h, w, cfg, params)
     frozen = None if cfg.backprop_affinity else dense_affinity(cfg, params, xs, h, w)
 
     def losses(vs, p):
         """L of each (B, N, C) stack of vs (S, B, N, C) under parameters p."""
-        y, ts = blocks.block_forward_batch(vs.reshape((-1,) + xs.shape[1:]), h, w, cfg, p)
+        y, t = blocks.block_forward_batch(vs.reshape((-1,) + xs.shape[1:]), h, w, cfg, p)
         y = y.reshape(vs.shape)
         if frozen is not None:
-            z_node = np.concatenate([t.z_node for t in ts])
-            z_node = z_node.reshape(vs.shape[:2] + z_node.shape[1:])
+            z_node = t.z_node.reshape(vs.shape[:2] + t.z_node.shape[1:])
             # the dense A applied to the tape's channel-first signal
             y = vs + blocks._filter(cfg, p, blocks._Affinity(frozen, None, "none"), z_node,
                                     h * w)[0]
         return np.sum(gs * y, axis=(1, 2, 3))
 
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, gs)
     scale = max(np.abs(gx).max(), *(np.abs(g).max() for g in grads.values()))
     num = gradcheck.finite_diff(lambda vs: losses(vs, params), xs, 1e-6)
     assert np.max(np.abs(num - gx)) <= 1e-7 * scale
@@ -395,12 +432,12 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
         unread = graph.flatten_spatial_channel
     a_t = blocks._t(dense_affinity(cfg, params, tape.x, h, w))
     powers = [blocks._t(p) for p in tape.powers]
-    per_tile = {}
+    per_role = {}
     g_zn = np.zeros_like(powers[0])
     us, vs, avs, atus = [], [], [], []
     for k, role, sign in blocks._variant_terms(cfg):
         contrib = sign * (blocks._t(read(powers[k])) @ g).sum(axis=0)
-        per_tile[role] = contrib if role not in per_tile else per_tile[role] + contrib
+        per_role[role] = contrib if role not in per_role else per_role[role] + contrib
         r = unread(g @ (sign * params.filters[role]).T)
         for j in range(k):
             us.append(r)
@@ -412,7 +449,7 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
     g_a = None
     if cfg.backprop_affinity:
         g_a = tuple(blocks._t(np.concatenate(f, axis=-1)) for f in (us, vs, avs, atus))
-    return per_tile, blocks._t(g_zn), g_a
+    return per_role, blocks._t(g_zn), g_a
 
 
 @pytest.mark.parametrize(
@@ -423,11 +460,11 @@ def per_term_polynomial_backward(tape, cfg, params, g, h, w):
 def test_backward_matches_per_term_reference(variant, kernel, backprop, h, w, order,
                                              monkeypatch):
     cfg, params, xs, gs = batch_case(variant, kernel, backprop, h, w, order=order)
-    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    _, tape = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, gs)
     monkeypatch.setattr(blocks, "_polynomial_backward",
                         lambda *args: per_term_polynomial_backward(*args, h, w))
-    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
+    want_gx, want = blocks.block_backward_batch(tape, cfg, params, gs)
     for got, ref in [(gx, want_gx)] + [(grads[name], want[name]) for name in want]:
         assert np.array_equal(got, ref) or rel(got, ref) <= 1e-12
 
@@ -439,7 +476,7 @@ SYMMETRIC = ["SNL", "SNL_A1", "CHEB_K"]
 INPUT_SCALES = [0.5, 10.0, 1e-8, 1e-150, 0.0]
 
 
-@pytest.mark.parametrize("b,n", [(8, 64), (1, 1024)])  # an N = 64 tile, one 32x32 sample
+@pytest.mark.parametrize("b,n", [(8, 64), (1, 1024)])  # an N = 64 stack, one 32x32 sample
 @pytest.mark.parametrize("c_s", [1, 2, 3, 4])
 def test_swapped_product_is_the_transposed_product(b, n, c_s):
     # _Affinity takes channel-first operands q^T and forms M^T q as the
@@ -467,22 +504,29 @@ def symmetric_reference(phi, psi, kernel="exp_dot"):
                            "symmetric")
 
 
-# 256 KiB holds each case's batch in one tile, as the default budget does;
-# 0: one sample per tile
-@pytest.mark.parametrize("tile_bytes", [256 * 1024, 0])
+def bounded_calls(xs, call_bytes, n_vertices):
+    """xs cut into consecutive stacks whose (b, V, V) kernels hold at most
+    ``call_bytes`` (at least one sample each), as a caller that bounds its
+    own batches cuts them (``harness.EVAL_CHUNK``,
+    ``gradcheck._PROBE_CALL_BYTES``)."""
+    per_call = max(1, call_bytes // (8 * n_vertices**2))
+    return [xs[i:i + per_call] for i in range(0, len(xs), per_call)]
+
+
+# 256 KiB of kernels holds each case's batch in one call; 0: one sample per
+# call
+@pytest.mark.parametrize("call_bytes", [256 * 1024, 0])
 @pytest.mark.parametrize("h,w,b", [(3, 4, 3), (8, 8, 8), (32, 32, 1)])
 @pytest.mark.parametrize("variant", SYMMETRIC)
-def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, tile_bytes,
-                                                       monkeypatch):
-    # each tape's kernel is the public kernel bit for bit, however the batch
-    # is tiled, and its public normalization is the variant's dense A
-    monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
+def test_symmetric_affinity_matches_symmetrize_bitwise(variant, h, w, b, call_bytes):
+    # each sample's kernel is the public kernel bit for bit, whatever stack
+    # it is built in, and its public normalization is the variant's dense A
     cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
     rng = np.random.default_rng(31)
     params = blocks.random_params(cfg, rng)
     xs = rng.normal(0.0, 0.5, size=(b, h * w, 4))
-    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    kernels = np.concatenate([t.m for t in tapes])
+    kernels = np.concatenate([blocks.block_forward_batch(part, h, w, cfg, params)[1].m
+                              for part in bounded_calls(xs, call_bytes, h * w)])
     for k in range(b):
         phi, psi = xs[k] @ params.w_phi, xs[k] @ params.w_psi
         assert np.array_equal(kernels[k], graph.kernel_matrix(phi, psi, "exp_dot"))
@@ -534,10 +578,10 @@ def dense_affinity_backward(t, recipe, kernel, u, v, av, atu):
 
 
 def assert_matches_dense_backward(cfg, params, xs, gs, h, w, monkeypatch):
-    _, tapes = blocks.block_forward_batch(xs, h, w, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, gs)
+    _, tape = blocks.block_forward_batch(xs, h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, gs)
     monkeypatch.setattr(blocks, "_affinity_backward", dense_affinity_backward)
-    want_gx, want = blocks.block_backward_batch(tapes, cfg, params, gs)
+    want_gx, want = blocks.block_backward_batch(tape, cfg, params, gs)
     assert rel(gx, want_gx) <= 1e-12
     for name, ref in want.items():
         assert rel(grads[name], ref) <= 1e-12, name
@@ -640,7 +684,7 @@ def test_affinity_backward_row_sums_match_axis_sums(variant, kernel, b):
     if kernel == "dot":
         xs = np.abs(xs) + 0.1
         params.w_phi, params.w_psi = np.abs(params.w_phi), np.abs(params.w_psi)
-    _, (tape,) = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    _, tape = blocks.block_forward_batch(xs, 3, 4, cfg, params)
     _, _, factors = blocks._polynomial_backward(tape, cfg, params, gs)
     recipe = blocks._RECIPES[variant]
     left, right, kept = blocks._affinity_factors(tape, recipe, kernel, *factors)
@@ -656,14 +700,13 @@ def test_every_tape_holds_one_vertex_by_vertex_array(variant):
     # the kernel M is the only (B, V, V) array: A is applied as scalings
     # around it, and neither A nor (M + M^T)/2 is formed
     cfg, params, xs, _ = batch_case(variant, "exp_dot", True, 3, 4)
-    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    _, t = blocks.block_forward_batch(xs, 3, 4, cfg, params)
     n_vertices = 12 * (cfg.c_s if variant == "CGNL" else 1)
-    for t in tapes:
-        arrays = {name: getattr(t, name) for name in blocks.Tape.__slots__}
-        square = [name for name, a in arrays.items() if isinstance(a, np.ndarray)
-                  and a.shape[1:] == (n_vertices, n_vertices)]
-        assert square == ["m"]
-        assert t.m.shape[0] == t.x.shape[0]
+    arrays = {name: getattr(t, name) for name in blocks.Tape.__slots__}
+    square = [name for name, a in arrays.items() if isinstance(a, np.ndarray)
+              and a.shape[1:] == (n_vertices, n_vertices)]
+    assert square == ["m"]
+    assert t.m.shape[0] == t.x.shape[0]
 
 
 OPERATOR_CASES = [(v, k, h, w) for v in blocks.VARIANTS for k in graph.KERNELS
@@ -682,7 +725,7 @@ def test_affinity_operator_matches_the_dense_affinity(variant, kernel, h, w):
         xs = np.abs(xs) + 0.1
         params.w_phi, params.w_psi, params.w_z = (np.abs(params.w_phi), np.abs(params.w_psi),
                                                   np.abs(params.w_z))
-    _, (t,) = blocks.block_forward_batch(xs, h, w, cfg, params)
+    _, t = blocks.block_forward_batch(xs, h, w, cfg, params)
     dense = dense_affinity(cfg, params, xs, h, w)
     a = blocks._affinity(t, cfg)
     p = rng.normal(size=dense.shape[:2] + (3,))
@@ -860,19 +903,17 @@ def test_batch_raises_what_a_bad_sample_raises_alone():
         with pytest.raises(error):
             blocks.block_forward_batch(stack, 3, 3, cfg, params)
 
-    _, tapes = blocks.block_forward_batch(normal, 3, 3, snl, p_snl)
+    _, tape = blocks.block_forward_batch(normal, 3, 3, snl, p_snl)
     upstream = np.ones_like(normal)
     upstream[1, 0, 0] = np.inf
     with pytest.raises(NumericError):
-        blocks.block_backward_batch(tapes, snl, p_snl, upstream)
+        blocks.block_backward_batch(tape, snl, p_snl, upstream)
 
 
 @pytest.mark.parametrize("variant", blocks.VARIANTS)
 def test_core_validates_at_its_boundary(variant, monkeypatch):
     # one finiteness pass over the input stack forward and one over the
-    # upstream gradient backward, however many tiles; no internal product
-    # is validated again
-    monkeypatch.setattr(blocks, "TILE_BYTES", 0)  # 0: one sample per tile
+    # upstream gradient backward; no internal product is validated again
     cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
     rng = np.random.default_rng(41)
     params = blocks.random_params(cfg, rng)
@@ -883,23 +924,21 @@ def test_core_validates_at_its_boundary(variant, monkeypatch):
             calls[name] += 1
             return real(values)
         monkeypatch.setattr(linalg, name, counted)
-    _, tapes = blocks.block_forward_batch(xs, 8, 8, cfg, params)
-    assert len(tapes) == 32
+    _, tape = blocks.block_forward_batch(xs, 8, 8, cfg, params)
     assert calls == {"as_stack": 1, "as_matrix": 0}
-    blocks.block_backward_batch(tapes, cfg, params, rng.normal(size=xs.shape))
+    blocks.block_backward_batch(tape, cfg, params, rng.normal(size=xs.shape))
     assert calls == {"as_stack": 2, "as_matrix": 0}
 
 
 def test_training_stack_is_one_tape():
-    # a training step's (32, 64, 64) kernels hold 1 MiB, far under the tile
-    # budget, so the whole stack is one tape
+    # a training step's 32 kernels are one (32, 64, 64) stack in one tape
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2)
     rng = np.random.default_rng(43)
     params = blocks.random_params(cfg, rng)
-    _, tapes = blocks.block_forward_batch(rng.normal(0.0, 0.5, size=(32, 64, 4)), 8, 8, cfg,
-                                          params)
-    assert len(tapes) == 1
-    assert tapes[0].m.shape == (32, 64, 64)
+    _, tape = blocks.block_forward_batch(rng.normal(0.0, 0.5, size=(32, 64, 4)), 8, 8, cfg,
+                                         params)
+    assert isinstance(tape, blocks.Tape)
+    assert tape.m.shape == (32, 64, 64)
 
 
 @pytest.mark.parametrize("variant", ["SNL", "NL", "CC", "CGNL"])
@@ -911,7 +950,7 @@ def test_thin_tape_arrays_keep_their_long_axis_last(variant):
     rng = np.random.default_rng(44)
     params = blocks.random_params(cfg, rng)
     xs = rng.normal(0.0, 0.5, size=(32, 64, 4))
-    _, (t,) = blocks.block_forward_batch(xs, 8, 8, cfg, params)
+    _, t = blocks.block_forward_batch(xs, 8, 8, cfg, params)
     n_vertices = blocks._vertices(cfg, 64)
     thin = {"phi": t.phi, "psi": t.psi, "z": t.z, "z_node": t.z_node}
     thin.update((f"powers[{k}]", p) for k, p in enumerate(t.powers))
@@ -924,9 +963,7 @@ def test_thin_tape_arrays_keep_their_long_axis_last(variant):
 @pytest.mark.parametrize("variant", ["NL", "SNL", "CGNL"])
 def test_each_tile_calls_the_public_embed_and_kernel_once(variant, monkeypatch):
     # per-stage profiles time the core through blocks.embed and
-    # graph.kernel_matrix: every tile of a forward calls each once
-    # 4 samples of 12 vertices a tile; CGNL's 24 vertices, 1 sample a tile
-    monkeypatch.setattr(blocks, "TILE_BYTES", 4 * 8 * 12 * 12)
+    # graph.kernel_matrix: a forward of 10 samples calls each once
     calls = {"embed": 0, "kernel_matrix": 0}
     for module, name in ((blocks, "embed"), (graph, "kernel_matrix")):
         def counted(*args, _name=name, _real=getattr(module, name)):
@@ -934,9 +971,8 @@ def test_each_tile_calls_the_public_embed_and_kernel_once(variant, monkeypatch):
             return _real(*args)
         monkeypatch.setattr(module, name, counted)
     cfg, params, xs, _ = batch_case(variant, "exp_dot", True, 3, 4, b=10)
-    _, tapes = blocks.block_forward_batch(xs, 3, 4, cfg, params)
-    assert len(tapes) == (10 if variant == "CGNL" else 3)
-    assert calls == {"embed": len(tapes), "kernel_matrix": len(tapes)}
+    blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    assert calls == {"embed": 1, "kernel_matrix": 1}
 
 
 @pytest.mark.parametrize("variant", ["A2", "NL", "SNL"])

@@ -80,8 +80,8 @@ def test_backward_matches_the_complex_step(variant, kernel, h, w, order):
     params = blocks.random_params(cfg, rng)
     x = rng.normal(0.0, 0.5, size=(h * w, 4))
     g = rng.normal(size=x.shape)
-    _, tapes = blocks.block_forward_batch(x[None], h, w, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, g[None])
+    _, tape = blocks.block_forward_batch(x[None], h, w, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, g[None])
     got = dict(grads, x=gx[0])
     assert_matches(got, complex_step(cfg, h, w, dict(params.items(), x=x), g))
 
@@ -97,8 +97,8 @@ def test_frozen_affinity_backward_matches_the_complex_step(variant, kernel):
     params = blocks.random_params(cfg, rng)
     x = rng.normal(0.0, 0.5, size=(12, 4))
     g = rng.normal(size=x.shape)
-    _, tapes = blocks.block_forward_batch(x[None], 3, 4, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, g[None])
+    _, tape = blocks.block_forward_batch(x[None], 3, 4, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, g[None])
     arrays = dict(params.items(), x=x)
     frozen = verify._table1_affinity(cfg, *closed_form_args(cfg, 3, 4, arrays))
     assert_matches(dict(grads, x=gx[0]), complex_step(cfg, 3, 4, arrays, g, frozen))

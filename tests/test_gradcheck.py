@@ -40,6 +40,15 @@ def test_finite_diff_rejects_bad_eps():
         gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), np.zeros(2), 0.0)
 
 
+def test_finite_diff_rejects_an_empty_point():
+    # no entries, so no probes and no differences; eps stays checked first
+    for point in (np.zeros(0), np.zeros((3, 0))):
+        with pytest.raises(ShapeError):
+            gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), point, 1e-5)
+    with pytest.raises(ValueError):
+        gradcheck.finite_diff(lambda xs: np.zeros(len(xs)), np.zeros(0), 0.0)
+
+
 def test_finite_diff_nonfinite_loss():
     with pytest.raises(NumericError):
         gradcheck.finite_diff(lambda xs: np.full(len(xs), np.nan), np.zeros(2), 1e-5)
@@ -117,8 +126,8 @@ def test_wrong_entry_still_fails(monkeypatch):
     cfg = BlockConfig(variant="SNL", c_in=4, c_s=2, order=3)
     honest = blocks.block_backward_batch
 
-    def skewed(tapes, cfg, params, upstream):
-        gx, grads = honest(tapes, cfg, params, upstream)
+    def skewed(tape, cfg, params, upstream):
+        gx, grads = honest(tape, cfg, params, upstream)
         for g in [gx[0], *grads.values()]:  # gx[0] is a view of the one sample
             i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
             g[i] *= 1.0 + 1e-3
@@ -141,16 +150,16 @@ def test_tolerance_must_be_finite_and_positive(tol, capsys):
 
 
 def probes_per_call(cfg, height, width):
-    """Probes per core call: their (b, V, V) kernels hold at most 1 MiB and
-    at most TILE_BYTES."""
+    """Probes per core call: their (b, V, V) kernels hold at most
+    ``_PROBE_CALL_BYTES``."""
     v = blocks._vertices(cfg, height * width)
-    return max(1, min(blocks.TILE_BYTES, gradcheck._PROBE_CALL_BYTES) // (8 * v * v))
+    return max(1, gradcheck._PROBE_CALL_BYTES // (8 * v * v))
 
 
 @pytest.mark.parametrize("backprop", [False, True])
 def test_probes_run_on_the_batched_core(monkeypatch, backprop):
     # one base forward, then the probes of every checked array as one
-    # stacked core call per chunk; the analytic side reads the base forward's tapes: the
+    # stacked core call per chunk; the analytic side reads the base forward's tape: the
     # B=1 block_forward and block_backward, which key, copy, hold or rebuild
     # a tape, are never called, and no tape is held when the check returns
     # (none is held when it starts, whatever an earlier test left)
@@ -170,8 +179,8 @@ def test_probes_run_on_the_batched_core(monkeypatch, backprop):
     # at most 4 (9, 9) kernels in one, so 38 calls. Under a frozen affinity
     # the probes are embedded and filtered only: the base forward's is the
     # one kernel built
-    for tile_bytes, chunks in ((blocks.TILE_BYTES, 1), (3000, 38)):
-        monkeypatch.setattr(blocks, "TILE_BYTES", tile_bytes)
+    for call_bytes, chunks in ((gradcheck._PROBE_CALL_BYTES, 1), (3000, 38)):
+        monkeypatch.setattr(gradcheck, "_PROBE_CALL_BYTES", call_bytes)
         calls.update(dict.fromkeys(names, 0))
         reports = gradcheck.check_block_gradients(cfg, seed=0)
         probes = 2 * sum(r.checked_entries for r in reports)
@@ -190,8 +199,8 @@ def per_probe_differences(cfg, seed, height, width):
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 0.7, size=(height * width, cfg.c_in))
     params = blocks.random_params(cfg, rng)
-    _, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tapes[0], cfg)
+    _, tape = blocks.block_forward_batch(x[None], height, width, cfg, params)
+    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tape, cfg)
 
     def loss(name, value):
         xv, p = x, copy.deepcopy(params)
@@ -201,9 +210,9 @@ def per_probe_differences(cfg, seed, height, width):
             p.filters[name] = value
         else:
             setattr(p, name, value)
-        out, ts = blocks.block_forward_batch(xv[None], height, width, cfg, p)
+        out, t = blocks.block_forward_batch(xv[None], height, width, cfg, p)
         if frozen_a is not None:
-            out = xv + blocks._filter(cfg, p, frozen_a, ts[0].z_node, height * width)[0]
+            out = xv + blocks._filter(cfg, p, frozen_a, t.z_node, height * width)[0]
         return float(np.sum(out[0] ** 2))
 
     eps = gradcheck._EPS
@@ -262,7 +271,7 @@ def test_chunked_probes_give_identical_reports(monkeypatch):
     # input and every parameter take 42 core calls
     cfg = BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=3)
     whole, whole_diffs = batched_differences(monkeypatch, cfg, 5, 3, 3)
-    monkeypatch.setattr(blocks, "TILE_BYTES", 3000)
+    monkeypatch.setattr(gradcheck, "_PROBE_CALL_BYTES", 3000)
     assert probes_per_call(cfg, 3, 3) == 4
     chunked, chunked_diffs = batched_differences(monkeypatch, cfg, 5, 3, 3)
     assert chunked == whole

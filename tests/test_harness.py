@@ -137,7 +137,7 @@ def test_batch_reductions_match_axis_sums(variant, b):
     g_blocked = np.repeat((dlogits @ net.head_w.T)[:, None, :], 64, axis=1) / 64
     g_act = g_blocked
     if cfg is not None:
-        g_act, _ = blocks.block_backward_batch(state["tapes"], cfg, net.block_params, g_blocked)
+        g_act, _ = blocks.block_backward_batch(state["tape"], cfg, net.block_params, g_blocked)
     assert rel(grads["head_b"], dlogits.sum(axis=0)) <= 1e-13
     assert rel(grads["conv_b"], g_act.sum(axis=(0, 1))) <= 1e-13
 

@@ -63,8 +63,8 @@ def test_block_gradients_match_the_complex_step(
     params = blocks.random_params(cfg, rng)
     x = rng.normal(0.0, 0.5, size=(height * width, C_IN))
     g = rng.normal(size=x.shape)
-    _, tapes = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    gx, grads = blocks.block_backward_batch(tapes, cfg, params, g[None])
+    _, tape = blocks.block_forward_batch(x[None], height, width, cfg, params)
+    gx, grads = blocks.block_backward_batch(tape, cfg, params, g[None])
     arrays = dict(params.items(), x=x)
     frozen = None
     if not backprop_affinity:

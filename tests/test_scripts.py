@@ -30,7 +30,8 @@ def test_train_pairs_times_two_trees_in_one_process():
 
 def test_oracle_pairs_times_both_oracle_commands():
     # the same tree on both sides, one counted round: a row per gradcheck
-    # variant and verify group, the two totals, and identical stdout
+    # variant and verify group, the two totals, each with train_pairs'
+    # quartiles, and identical stdout
     src = os.path.dirname(os.path.dirname(harness.__file__))
     out = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "oracle_pairs.py"), src, src,
@@ -44,7 +45,8 @@ def test_oracle_pairs_times_both_oracle_commands():
     assert result["rounds"] == 1 and result["stdout_identical"] is True
     for row in rows:
         assert result[row]["change_won"] in ("0/1", "1/1")
-        assert result[row]["parent_ms"] > 0 and result[row]["change_ms"] > 0
+        assert result[row]["parent"]["median"] > 0 and result[row]["change"]["median"] > 0
+        assert result[row]["parent"]["q1"] <= result[row]["parent"]["q3"]
 
 
 def load_script(path: str, name: str):
