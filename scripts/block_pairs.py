@@ -1,6 +1,7 @@
 """Interleaved timing of the N = 1024 block mix of two snl trees.
 
     python3 scripts/block_pairs.py PARENT_SRC CHANGE_SRC [--rounds 20] [--seed 0] [--stacks]
+                                   [--stages]
 
 PARENT_SRC and CHANGE_SRC are source directories that each hold an
 ``snl`` package, such as the ``src`` of two checkouts. Both load into one
@@ -18,6 +19,12 @@ With ``--stacks`` it times ``STACKS`` instead: batched stacks of 2-126
 matrices of 182-1024 vertices on both sides of the panel rule
 (``graph._panels``), each as one ``block_forward_batch`` and one
 ``block_backward_batch``, which is how ``snl train`` calls the core.
+
+With ``--stages`` each tree's ``STAGES``, the block core's functions for
+the kernel, the degrees, the products with A and the affinity backward,
+are wrapped in timers, and each side's time in each stage over the mix
+(or over the stacks) is reported as a row of its own after the mix row.
+Without the flag nothing is wrapped.
 
 For each configuration and for the whole mix it prints each side's median
 and quartiles in ms, the ratio of the medians (change over parent) and the
@@ -70,16 +77,46 @@ STACKS = [
     ("SNL_V256_B64", "SNL", 2, 16, 16, 64),
     ("NL_V182_B126", "NL", 2, 13, 14, 126),
 ]
+# (row label, module, attribute) of each stage --stages times; the module
+# "blocks._Affinity" is the class whose products apply A and A^T
+STAGES = [
+    ("stage:kernel", "graph", "kernel_matrix"),
+    ("stage:degrees", "blocks", "_degrees"),
+    ("stage:products", "blocks._Affinity", "__matmul__"),
+    ("stage:affinity_backward", "blocks", "_affinity_backward"),
+]
+
+
+def time_stages(pkg) -> dict[str, float]:
+    """Wrap each of a loaded tree's ``STAGES`` in a timer; returns the
+    seconds spent in each so far, by row label, updated as the tree runs."""
+    spent = {}
+    for label, owner, name in STAGES:
+        target = pkg
+        for part in owner.split("."):
+            target = getattr(target, part)
+        spent[label] = 0.0
+
+        def timed(*args, _real=getattr(target, name), _label=label):
+            t0 = time.perf_counter()
+            try:
+                return _real(*args)
+            finally:
+                spent[_label] += time.perf_counter() - t0
+        setattr(target, name, timed)
+    return spent
 
 
 class Side:
     """One tree's configurations, inputs and parameters, drawn from the
     seed in perfbench's order (or in ``STACKS`` order), so both sides get
-    the same arrays."""
+    the same arrays. With ``stages`` the tree's ``STAGES`` are wrapped in
+    timers, whose running totals ``stage_s`` holds."""
 
-    def __init__(self, pkg, seed: int, stacks: bool):
+    def __init__(self, pkg, seed: int, stacks: bool, stages: bool):
         blocks, graph = pkg.blocks, pkg.graph
         self.blocks = blocks
+        self.stage_s = time_stages(pkg) if stages else {}
         rng = np.random.default_rng(seed)
         self.cases = []
         if stacks:
@@ -127,17 +164,21 @@ def main(argv=None) -> None:
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--stacks", action="store_true", help="time STACKS, not the N = 1024 mix")
+    ap.add_argument("--stages", action="store_true",
+                    help="also time each side's STAGES over the mix")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    sides = {"parent": Side(load_tree(args.parent_src, "snl_parent"), args.seed, args.stacks),
-             "change": Side(load_tree(args.change_src, "snl_change"), args.seed, args.stacks)}
+    sides = {name: Side(load_tree(src, f"snl_{name}"), args.seed, args.stacks, args.stages)
+             for name, src in (("parent", args.parent_src), ("change", args.change_src))}
     labels = [label for label, *_ in (STACKS if args.stacks else MIX)]
-    timings = {key: {s: [] for s in sides} for key in labels + ["mix"]}
+    stages = [label for label, *_ in STAGES] if args.stages else []
+    timings = {key: {s: [] for s in sides} for key in labels + ["mix"] + stages}
     fwd_diff = grad_diff = 0.0
     for rnd in range(args.rounds + 1):  # round 0 warms up
         names = list(sides) if rnd % 2 else list(sides)[::-1]
         total = dict.fromkeys(sides, 0.0)
+        before = {name: dict(side.stage_s) for name, side in sides.items()}
         for i, label in enumerate(labels):
             outputs = {}
             for name in names:
@@ -149,11 +190,14 @@ def main(argv=None) -> None:
                 f, g = largest_differences(outputs["parent"], outputs["change"])
                 fwd_diff, grad_diff = max(fwd_diff, f), max(grad_diff, g)
         if rnd:
-            for name in sides:
+            for name, side in sides.items():
                 timings["mix"][name].append(total[name])
+                for stage in stages:
+                    timings[stage][name].append(side.stage_s[stage] - before[name][stage])
     unit = ("ms per batched forward + backward" if args.stacks
             else "ms per forward + forward-backward pair")
     result = {"rounds": args.rounds, "seed": args.seed, "stacks": args.stacks,
+              "stages": args.stages,
               "unit": f"{unit}; mix: ms per pass over all {len(labels)}"}
     width = max(map(len, labels)) + 1
     for key, t in timings.items():

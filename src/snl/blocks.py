@@ -33,9 +33,15 @@ built (``graph.kernel_matrix``). At V = 1024 that ran the blocks_n1024
 mix (one forward and one forward + backward of each of its 12
 configurations, B = 1) at 0.891-0.924x of whole (V, V) passes on a
 2-core x86-64 VM (three runs, 58 of 60 rounds won, BENCH_19.json),
-forward outputs bitwise equal. Smaller matrices, a training stack
-(B = 32, V = 64) and every oracle case, are one panel, and so is a stack
-of more than 32 matrices.
+forward outputs bitwise equal. A symmetric product needs both M q and
+M^T q; where one matrix holds at least two
+``graph.SYMMETRIC_PANEL_BYTES`` (1 MiB, so V >= 512) in a stack of at
+most 32, ``_symmetric_sum`` takes both from one pass over M in 1 MiB row
+panels, where two whole products read M twice. That ran the mix at
+0.825-0.856x of the two whole products (two runs, 39 of 40 rounds won,
+BENCH_21.json). Smaller matrices, a training stack (B = 32, V = 64) and
+every oracle case, are one panel, and so is a stack of more than 32
+matrices: they run the whole products.
 
 A thin stack keeps its long axis last. Every thin array the core makes
 (phi, psi, z, the node signal and its powers, their gradients, the degree
@@ -346,10 +352,12 @@ class Tape:
     None when the variant does not normalize; z_node (B, c, V) the signal
     the polynomial filters (x^T for CC) and powers[k] = A^k z_node in the
     same layout, with A applied by ``_Affinity``. mask is the read-only
-    bool criss-cross mask (CC only).
+    bool criss-cross mask (CC only). config holds the forward's
+    ``_tape_config``; ``block_backward_batch`` raises ``ConfigError`` for a
+    config that differs from it.
     """
 
-    __slots__ = ("x", "phi", "psi", "z", "v", "m", "mask", "d", "z_node", "powers")
+    __slots__ = ("config", "x", "phi", "psi", "z", "v", "m", "mask", "d", "z_node", "powers")
 
     def __init__(self):
         for name in self.__slots__:
@@ -373,6 +381,7 @@ def _embed_stack(xv, cfg: BlockConfig, params: BlockParams) -> Tape:
     """The embeddings and node signal of a validated stack, channel-first."""
     recipe = _RECIPES[cfg.variant]
     t = Tape()
+    t.config = _tape_config(cfg)
     t.x = xv
     t.phi, t.psi, t.z = (_t(p) for p in embed(xv, params))
     if recipe.node == "v":
@@ -380,6 +389,12 @@ def _embed_stack(xv, cfg: BlockConfig, params: BlockParams) -> Tape:
         t.v = t.z.reshape(len(xv), 1, -1)
     t.z_node = np.ascontiguousarray(_t(xv)) if recipe.node == "x" else getattr(t, recipe.node)
     return t
+
+
+def _tape_config(cfg: BlockConfig) -> tuple:
+    """The config fields a forward pass reads: all but backprop_affinity,
+    which only the backward reads."""
+    return cfg.variant, cfg.c_in, cfg.c_s, cfg.order, cfg.kernel
 
 
 def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams) -> Tape:
@@ -402,7 +417,11 @@ def _degrees(m: np.ndarray, mode: str, kernel: str) -> np.ndarray:
     M_hat = (M + M^T)/2. Raises what ``graph.degrees`` raises on M or M_hat.
     exp_dot entries are positive by construction, so only the dot kernel
     takes the min pass, and M_hat is formed only when M has a negative
-    entry: M_hat can have one only then."""
+    entry: M_hat can have one only then. The symmetric degrees stay two
+    whole gemv passes at every V: right after the kernel is built, one
+    pass in ``_symmetric_sum``'s 1 MiB panels took 0.77 ms against
+    0.46-0.51 ms for the two at V = 1024, and 64-512-row panels did no
+    better."""
     if kernel == "dot" and m.min() < 0.0:
         graph._check_nonnegative(m if mode == "random_walk" else 0.5 * (m + _t(m)))
     # row and column sums as BLAS products, M 1 and 1^T M: at (32, 64, 64)
@@ -411,6 +430,26 @@ def _degrees(m: np.ndarray, mode: str, kernel: str) -> np.ndarray:
     if mode == "random_walk":
         return graph._check_degrees(m @ ones)
     return graph._check_degrees(0.5 * (m @ ones + ones @ m))
+
+
+def _symmetric_sum(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """M q + M^T q of a channel-first (B, c, V) operand q, as ``q @ _t(m)
+    + q @ m``. In ``graph.SYMMETRIC_PANEL_BYTES`` row panels it reads M
+    once: panel P = M[rows] gives the rows entries of M q as q P^T and
+    adds q[rows] P, its share of M^T q, while P is in cache. A stack of
+    one panel takes the two whole products."""
+    panels = graph._panels(len(m), m.shape[-1], graph.SYMMETRIC_PANEL_BYTES)
+    if len(panels) == 1:
+        out = q @ _t(m)
+        out += q @ m
+        return out
+    out, acc = np.empty_like(q), np.zeros_like(q)
+    for rows in panels:
+        p = m[..., rows, :]
+        out[..., rows] = q @ _t(p)
+        acc += q[..., rows] @ p
+    out += acc
+    return out
 
 
 # Past this degree, which only a kernel near the exp_dot guard reaches, a
@@ -432,9 +471,11 @@ class _Affinity:
     with q = s * p, and A^T = A. The degree scalings broadcast a (B, 1, V)
     row. ``a @ p`` is A p and ``a.T @ g`` is A^T g in this layout, so
     ``spectral._polynomial`` and the backward take it where they would take
-    a dense A. A thin stack keeps its long axis last: a (B, V, 1) column
-    scaling took 14 us against 5.8 us for the row at B = 32, N = 64.
-    ``_affinity`` builds one from a tape.
+    a dense A. A symmetric product takes M q + M^T q from
+    ``_symmetric_sum``, in one pass over M where M is several
+    ``graph.SYMMETRIC_PANEL_BYTES`` panels. A thin stack keeps its long
+    axis last: a (B, V, 1) column scaling took 14 us against 5.8 us for the
+    row at B = 32, N = 64. ``_affinity`` builds one from a tape.
     """
 
     __slots__ = ("m", "row", "mode", "shift", "transposed")
@@ -454,9 +495,7 @@ class _Affinity:
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         m, row = self.m, self.row
         if self.mode == "symmetric":
-            q = row * p
-            out = q @ _t(m)
-            out += q @ m
+            out = _symmetric_sum(m, row * p)
             out *= 0.5 * row
             return out
         if self.transposed:
@@ -726,6 +765,9 @@ def block_backward_batch(
     treated as a constant.
     """
     check_params(cfg, params)
+    if tape.config != _tape_config(cfg):
+        raise ConfigError(f"tape was built under (variant, c_in, c_s, order, kernel) = "
+                          f"{tape.config}, not {_tape_config(cfg)}")
     g = linalg.as_stack(upstream_grad)
     if g.shape != tape.x.shape:
         raise ShapeError(f"upstream grad {g.shape} vs output {tape.x.shape}")

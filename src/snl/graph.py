@@ -35,9 +35,11 @@ EXP_GUARD = 700.0
 # on each panel while it is still in cache. At V = 1024 (B = 1, 32 rows a
 # panel) the blocks_n1024 mix ran at 0.891-0.924x of whole (V, V) passes
 # in three runs of ``scripts/block_pairs.py`` (58 of 60 rounds won,
-# BENCH_19.json). Smaller matrices stay whole: cut into row halves, a
-# B = 32, V = 64 SGD step ran 1.10-1.11x slower, and at V = 192-196
-# panels showed no steady gain (0.80-1.12x over runs).
+# BENCH_19.json); 1 MiB panels for these two stages read 1.095x of 256 KiB
+# (20 rounds: the kernel 1.15x, the backward 1.28x). Smaller matrices stay
+# whole: cut into row halves, a B = 32, V = 64 SGD step ran 1.10-1.11x
+# slower, and at V = 192-196 panels showed no steady gain (0.80-1.12x
+# over runs).
 PANEL_BYTES = 256 * 1024
 # A stack of more than this many matrices stays whole as well: each panel
 # takes one small product per matrix, and past 32 of them that dispatch
@@ -46,6 +48,17 @@ PANEL_BYTES = 256 * 1024
 # panel). Stacks of 2-32 matrices of V = 256-1024 ran at 0.70-1.07x,
 # most below 1.
 PANEL_MATRICES = 32
+# The symmetric affinity's products M q + M^T q
+# (``blocks._symmetric_sum``) take one pass over M in row panels of at
+# most this many bytes when one matrix holds at least two of them (V >=
+# 512) and the stack at most PANEL_MATRICES, where two whole products read
+# M twice. At V = 1024 (B = 1, 128 rows a panel) the blocks_n1024 mix's
+# products with A read 0.66-0.72x of two whole products (``block_pairs.py
+# --stages``, two runs, BENCH_21.json). In the mix, 1 MiB panels read
+# 0.954x of 256 KiB ones and 0.996x of 512 KiB ones (20 rounds each).
+# Smaller matrices stay whole: one product of a (32, 256, 256) stack took
+# 1.17x as long in 16-row panels as the two whole products.
+SYMMETRIC_PANEL_BYTES = 1024 * 1024
 
 
 def _check_grid(height, width) -> None:
@@ -118,7 +131,10 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
     is still in cache. Any other stack is one panel: one product, one max
     and one exp. The panels give the one-product kernel bit for bit, and
     the guard's message names the largest exponent of the whole stack.
-    Raises ``ShapeError`` for an empty stack or embeddings with no rows.
+    One-channel embeddings, such as CGNL's vec(Z), get a zero second
+    column after exp_dot's scaling, which leaves every entry as it was
+    but a dot kernel's -0.0, which reads +0.0. Raises ``ShapeError`` for
+    an empty stack or embeddings with no rows.
     """
     phi = np.asarray(phi, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
@@ -128,12 +144,18 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
         raise ShapeError(f"affinity: embeddings {phi.shape} are empty")
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise NumericError("affinity: embedded features contain non-finite entries")
+    if kernel not in KERNELS:
+        raise PreconditionError(f"unknown kernel {kernel!r}")
+    if kernel == "exp_dot":
+        phi = phi / np.sqrt(phi.shape[-1])
+    if phi.shape[-1] == 1:
+        # OpenBLAS's K = 1 product is slow: the exp_dot kernel of a
+        # (1, 1024, 1) stack took 2.7-2.9 ms, and 1.5 ms with a zero second
+        # column, which adds +0.0 to each entry (a dot -0.0 reads +0.0)
+        phi, psi = (np.concatenate([a, np.zeros_like(a)], axis=-1) for a in (phi, psi))
     psi_t = psi.swapaxes(-1, -2)
     if kernel == "dot":
         return phi @ psi_t
-    if kernel != "exp_dot":
-        raise PreconditionError(f"unknown kernel {kernel!r}")
-    phi = phi / np.sqrt(phi.shape[-1])
     n = phi.shape[-2]
     m = np.empty(phi.shape[:-1] + (n,))
     for rows in _panels(m.size // (n * n), n):
@@ -150,14 +172,16 @@ def kernel_matrix(phi: np.ndarray, psi: np.ndarray, kernel: str) -> np.ndarray:
     return m
 
 
-def _panels(batch: int, n: int) -> list[slice]:
+def _panels(batch: int, n: int, panel_bytes: int | None = None) -> list[slice]:
     """Row ranges of a (batch, N, N) stack: the whole stack when one matrix
-    holds less than two ``PANEL_BYTES`` or the stack more than
-    ``PANEL_MATRICES`` matrices, else panels of as many rows of every
-    matrix as fit in ``PANEL_BYTES`` (at least one row)."""
-    if 8 * n * n < 2 * PANEL_BYTES or batch > PANEL_MATRICES:
+    holds less than two ``panel_bytes`` (default ``PANEL_BYTES``) or the
+    stack more than ``PANEL_MATRICES`` matrices, else panels of as many
+    rows of every matrix as fit in ``panel_bytes`` (at least one row)."""
+    if panel_bytes is None:
+        panel_bytes = PANEL_BYTES
+    if 8 * n * n < 2 * panel_bytes or batch > PANEL_MATRICES:
         return [slice(0, n)]
-    rows = max(1, PANEL_BYTES // (8 * batch * n))
+    rows = max(1, panel_bytes // (8 * batch * n))
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 

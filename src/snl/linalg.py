@@ -112,10 +112,16 @@ def load_binary(path) -> np.ndarray:
         magic = fh.read(8)
         if magic != BINARY_MAGIC:
             raise ShapeError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-    if data.size != rows * cols:
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ShapeError(f"{path}: truncated header")
+        rows, cols = struct.unpack("<QQ", header)
+        payload = fh.read()
+    if len(payload) < 8 * rows * cols:
         raise ShapeError(f"{path}: truncated payload")
+    if len(payload) > 8 * rows * cols:
+        raise ShapeError(f"{path}: {len(payload) - 8 * rows * cols} bytes after the payload")
+    data = np.frombuffer(payload, dtype="<f8")
     return as_matrix(data.reshape(rows, cols).astype(np.float64))
 
 

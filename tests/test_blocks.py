@@ -15,7 +15,7 @@ from snl.errors import (
     PreconditionError,
     ShapeError,
 )
-from snl.graph import FeatureMap
+from snl.graph import AffinityMatrix, FeatureMap
 
 
 def make_input(rng, h=3, w=3, c=4, positive=False):
@@ -336,14 +336,15 @@ def rel(got, want):
 
 
 # 256 KiB, graph.PANEL_BYTES, keeps each case's matrices whole; 1 cuts the
-# batched kernel and affinity gradient into one-row panels, which must agree
-# with whole one-sample calls
+# batched kernel, the symmetric products and the affinity gradient into
+# one-row panels, which must agree with whole one-sample calls
 @pytest.mark.parametrize("panel_bytes", [256 * 1024, 1])
 @pytest.mark.parametrize("variant,kernel,backprop,h,w", BATCH_CASES)
 def test_batched_core_matches_single_samples(variant, kernel, backprop, h, w, panel_bytes,
                                              monkeypatch):
     cfg, params, xs, gs = batch_case(variant, kernel, backprop, h, w)
     monkeypatch.setattr(graph, "PANEL_BYTES", panel_bytes)
+    monkeypatch.setattr(graph, "SYMMETRIC_PANEL_BYTES", panel_bytes)
     y, tape = blocks.block_forward_batch(xs, h, w, cfg, params)
     gx, grads = blocks.block_backward_batch(tape, cfg, params, gs)
     monkeypatch.undo()
@@ -636,11 +637,12 @@ def test_panelled_backward_matches_dense_form(variant, kernel, side, c_s, b, mon
 
 
 def test_training_stacks_run_one_panel(monkeypatch):
-    # every kernel and affinity backward of an SGD step (B=32, V=64) and
-    # of an evaluation is one panel, the whole stack, as before panels
+    # every kernel, symmetric product and affinity backward of an SGD step
+    # (B=32, V=64) and of an evaluation is one panel, the whole stack, as
+    # before panels
     seen = []
     panels = graph._panels
-    monkeypatch.setattr(graph, "_panels", lambda b, n: seen.append(panels(b, n)) or seen[-1])
+    monkeypatch.setattr(graph, "_panels", lambda *args: seen.append(panels(*args)) or seen[-1])
     data = harness.gen_dataset(seed=0, n_samples=64, c=4)
     net = harness.init_toynet(4, BlockConfig(variant="SNL", c_in=4, c_s=2), seed=0)
     harness.train(net, data, steps=2, lr=0.03, seed=0, batch_size=32, eval_every=2)
@@ -733,6 +735,86 @@ def test_affinity_operator_matches_the_dense_affinity(variant, kernel, h, w):
     for got, want in ((blocks._t(a @ p_t), dense @ p),
                       (blocks._t(a.T @ p_t), blocks._t(dense) @ p)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def two_products(m, q):
+    """M q + M^T q of a channel-first q as two whole products, the
+    symmetric affinity's operations before its one-pass row panels."""
+    out = q @ blocks._t(m)
+    out += q @ m
+    return out
+
+
+@pytest.mark.parametrize("b", [1, 4])
+@pytest.mark.parametrize("v", [256, 306, 1024])
+def test_symmetric_panels_match_two_products(v, b, monkeypatch):
+    # one pass over M in row panels against the two whole products; 306
+    # leaves a shorter last panel. graph.PANEL_BYTES panels cut every case
+    # into several, and at V = 1024 the module's own panels too
+    rng = np.random.default_rng(60)
+    m = np.exp(rng.normal(0.0, 0.3, size=(b, v, v)))
+    q = rng.normal(size=(b, 4, v))
+    want = two_products(m, q)
+    sizes = [graph.PANEL_BYTES] + [graph.SYMMETRIC_PANEL_BYTES] * (v == 1024)
+    for panel_bytes in sizes:
+        monkeypatch.setattr(graph, "SYMMETRIC_PANEL_BYTES", panel_bytes)
+        panels = graph._panels(b, v, panel_bytes)
+        assert len(panels) > 1
+        if v == 306:
+            assert len(range(v)[panels[-1]]) < len(range(v)[panels[0]])
+        assert rel(blocks._symmetric_sum(m, q), want) <= 1e-15
+
+
+def test_large_symmetric_matrices_take_one_pass():
+    # at V = 1024 one matrix is eight 1 MiB panels of 128 rows; a 2 MiB
+    # matrix (V = 512) is two, and smaller matrices stay whole
+    assert graph._panels(1, 1024, graph.SYMMETRIC_PANEL_BYTES) == [
+        slice(i, i + 128) for i in range(0, 1024, 128)]
+    assert len(graph._panels(1, 512, graph.SYMMETRIC_PANEL_BYTES)) == 2
+    for b, v in ((1, 511), (1, 256), (32, 256), (64, 256), (32, 64), (33, 1024)):
+        assert graph._panels(b, v, graph.SYMMETRIC_PANEL_BYTES) == [slice(0, v)]
+
+
+@pytest.mark.parametrize("variant", ["SNL", "CHEB_K"])
+@pytest.mark.parametrize("b", [1, 4])
+def test_symmetric_affinity_and_degrees_match_the_dense_route(variant, b):
+    # at V = 1024 the products take one pass over M in row panels; A p and
+    # the degrees against the public graph route's dense A and degrees
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
+    rng = np.random.default_rng(61)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(b, 1024, 4))
+    _, t = blocks.block_forward_batch(xs, 32, 32, cfg, params)
+    assert len(graph._panels(b, 1024, graph.SYMMETRIC_PANEL_BYTES)) > 1
+    m_hat = graph.symmetrize(AffinityMatrix(t.m))
+    assert np.abs(t.d - graph.degrees(m_hat.values)).max() <= 1e-13 * t.d.max()
+    dense = dense_affinity(cfg, params, xs, 32, 32)
+    p = rng.normal(size=(b, 1024, 3))
+    got = blocks._t(blocks._affinity(t, cfg) @ np.ascontiguousarray(blocks._t(p)))
+    assert np.abs(got - dense @ p).max() <= 1e-13 * np.abs(dense @ p).max()
+
+
+@pytest.mark.parametrize("variant", ["SNL", "SNL_A1", "CHEB_K"])
+def test_one_panel_stacks_run_two_products_bitwise(variant):
+    # a training stack (B = 32, N = 64) is one panel: its symmetric
+    # products and its degrees are the two whole products and the two gemv
+    cfg = BlockConfig(variant=variant, c_in=4, c_s=2, order=3)
+    rng = np.random.default_rng(62)
+    params = blocks.random_params(cfg, rng)
+    xs = rng.normal(0.0, 0.5, size=(32, 64, 4))
+    y, t = blocks.block_forward_batch(xs, 8, 8, cfg, params)
+    ones = np.ones(64)
+    assert np.array_equal(t.d, 0.5 * (t.m @ ones + ones @ t.m))
+    s = 1.0 / np.sqrt(t.d[:, None, :])
+
+    def a(p):
+        out = two_products(t.m, s * p)
+        out *= 0.5 * s
+        return out
+
+    assert all(np.array_equal(t.powers[k + 1], a(t.powers[k])) for k in range(len(t.powers) - 1))
+    p = rng.normal(size=(32, 2, 64))
+    assert np.array_equal(blocks._affinity(t, cfg) @ p, a(p))
 
 
 def test_random_walk_product_stays_finite_at_the_exp_guard():
@@ -939,6 +1021,38 @@ def test_training_stack_is_one_tape():
                                          params)
     assert isinstance(tape, blocks.Tape)
     assert tape.m.shape == (32, 64, 64)
+
+
+def test_backward_rejects_a_tape_of_another_config():
+    # an NL tape read as SNL would take random-walk degrees for symmetric
+    # ones, and an order-2 CHEB_K tape has too few powers for order 4
+    rng = np.random.default_rng(45)
+    xs = rng.normal(0.0, 0.5, size=(3, 9, 4))
+    cases = [(BlockConfig(variant="NL", c_in=4, c_s=2), BlockConfig(variant="SNL", c_in=4, c_s=2)),
+             (BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=2),
+              BlockConfig(variant="CHEB_K", c_in=4, c_s=2, order=4))]
+    for built, other in cases:
+        _, tape = blocks.block_forward_batch(xs, 3, 3, built, blocks.random_params(built, rng))
+        with pytest.raises(ConfigError, match="tape was built under"):
+            blocks.block_backward_batch(tape, other, blocks.random_params(other, rng),
+                                        np.ones_like(xs))
+
+
+def test_backward_may_flip_backprop_affinity():
+    # the forward does not read backprop_affinity: a tape built with it on
+    # backpropagates with it off as a tape built with it off does
+    rng = np.random.default_rng(46)
+    xs = rng.normal(0.0, 0.5, size=(3, 9, 4))
+    on = BlockConfig(variant="SNL", c_in=4, c_s=2)
+    off = dataclasses.replace(on, backprop_affinity=False)
+    params = blocks.random_params(on, rng)
+    gs = rng.normal(size=xs.shape)
+    _, tape_on = blocks.block_forward_batch(xs, 3, 3, on, params)
+    _, tape_off = blocks.block_forward_batch(xs, 3, 3, off, params)
+    gx, grads = blocks.block_backward_batch(tape_on, off, params, gs)
+    want_gx, want = blocks.block_backward_batch(tape_off, off, params, gs)
+    assert np.array_equal(gx, want_gx)
+    assert all(np.array_equal(grads[k], want[k]) for k in want)
 
 
 @pytest.mark.parametrize("variant", ["SNL", "NL", "CC", "CGNL"])

@@ -109,6 +109,19 @@ def test_stacks_of_many_matrices_are_one_panel():
         assert graph._panels(b, n) == [slice(0, n)]
 
 
+@pytest.mark.parametrize("kernel", graph.KERNELS)
+@pytest.mark.parametrize("shape", [(1024, 1), (1, 1024, 1), (3, 36, 1), (36, 1)])
+def test_one_channel_kernel_is_the_unpadded_product_bitwise(kernel, shape):
+    # CGNL's vec(Z) has one channel: the kernel takes it with a zero second
+    # column, which adds +0.0 to each entry and exp(0) = 1 to each exponent
+    rng = np.random.default_rng(5)
+    phi, psi = rng.normal(size=shape), rng.normal(size=shape)
+    product = phi @ psi.swapaxes(-1, -2)
+    want = product if kernel == "dot" else np.exp(product)
+    got = graph.kernel_matrix(phi, psi, kernel)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_kernel_dot_matches_manual():
     rng = np.random.default_rng(1)
     phi = rng.normal(size=(5, 3))

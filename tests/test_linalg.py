@@ -115,6 +115,27 @@ def test_binary_bad_magic(tmp_path):
         linalg.load_binary(path)
 
 
+@pytest.mark.parametrize("cut", [8, 12, 23])
+def test_binary_truncated_header(tmp_path, cut):
+    path = tmp_path / "m.mat"
+    linalg.save_binary(np.ones((2, 3)), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ShapeError, match="truncated header"):
+        linalg.load_binary(path)
+
+
+@pytest.mark.parametrize("change,match", [(-1, "truncated payload"),
+                                          (1, "1 bytes after the payload"),
+                                          (8, "8 bytes after the payload")])
+def test_binary_payload_must_match_the_header(tmp_path, change, match):
+    path = tmp_path / "m.mat"
+    linalg.save_binary(np.ones((2, 3)), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+    with pytest.raises(ShapeError, match=match):
+        linalg.load_binary(path)
+
+
 def test_load_matrix_autodetects(tmp_path):
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     linalg.save_csv(m, tmp_path / "a.csv")

@@ -92,3 +92,22 @@ def test_block_pairs_times_the_block_mix_of_two_trees(stacks):
     for row in rows:
         assert result[row]["change_won"] in ("0/1", "1/1")
         assert result[row]["parent"]["median"] > 0 and result[row]["change"]["median"] > 0
+
+
+def test_block_pairs_times_each_stage_of_the_mix():
+    # --stages wraps the kernel, the degrees, the products with A and the
+    # affinity backward of both trees and reports each side's time in each
+    # over the mix, after the mix row; the outputs still do not differ
+    src = os.path.dirname(os.path.dirname(blocks.__file__))
+    out = subprocess.run([sys.executable, BLOCK_PAIRS, src, src, "--rounds", "1", "--stages"],
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    lines = out.splitlines()
+    pairs = load_script(BLOCK_PAIRS, "block_pairs")
+    stages = [label for label, *_ in pairs.STAGES]
+    rows = [label for label, *_ in pairs.MIX] + ["mix"] + stages
+    assert [line.split()[0] for line in lines[:-2]] == rows
+    result = json.loads(lines[-1])
+    assert result["stages"] is True and result["max_forward_abs_diff"] == 0.0
+    for side in ("parent", "change"):
+        spent = sum(result[stage][side]["median"] for stage in stages)
+        assert 0 < spent < result["mix"][side]["median"]
