@@ -21,8 +21,10 @@ match byte for byte. The forward and ``generalized_forward`` evaluate the
 polynomial with ``spectral._polynomial``, one product with A per power;
 the backward takes one product with A^T per power: both are linear in K.
 The core never forms A: a tape keeps the masked kernel M, its one (V, V)
-array, and the degrees d, and ``_Affinity`` applies A and A^T to thin
-operands as diagonal scalings around products with M. The backward takes
+array, the degrees d, and the ``_Affinity`` built from them once per
+forward, which applies A and A^T to thin operands as diagonal scalings
+around products with M; the backward and the oracles' frozen A read it
+from the tape. The backward takes
 the kernel's gradient as a product of thin factors
 (``_affinity_factors``) and never forms it past one panel: where one
 (V, V) matrix holds at least two ``graph.PANEL_BYTES`` (256 KiB, so
@@ -59,6 +61,7 @@ dL/dX leave through BLAS's transposed-operand path, with no transpose
 copies.
 """
 
+import copy
 import ctypes
 from dataclasses import dataclass, field
 import functools
@@ -105,8 +108,6 @@ class BlockConfig:
             # bool is an int subclass; JSON true and false are not counts here
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.kernel, str):
-            raise ConfigError(f"kernel must be a string, got {self.kernel!r}")
         if not isinstance(self.backprop_affinity, bool):
             raise ConfigError(f"backprop_affinity must be true or false, got "
                               f"{self.backprop_affinity!r}")
@@ -319,21 +320,6 @@ def _vertices(cfg: BlockConfig, n_positions: int) -> int:
     return n
 
 
-_SAME = (lambda p: p,) * 2  # the identity as read and as unread
-
-
-def _reader(cfg: BlockConfig, n_positions: int):
-    """(read, unread): read maps a channel-first power of the node signal,
-    (..., c, V), to the channel-first (..., c, N) map its filter weights
-    act on, and unread is the adjoint. Both are the identity, except on the
-    flattened graph, where they are free reshapes: vec(Z) lays the rows of
-    Z^T end to end."""
-    if _RECIPES[cfg.variant].node != "v":
-        return _SAME
-    return (lambda p: p.reshape(p.shape[:-2] + (cfg.c_s, n_positions)),
-            lambda g: g.reshape(g.shape[:-2] + (1, -1)))
-
-
 class Tape:
     """Intermediates of one batched forward pass, read by the backward
     pass. All are plain arrays, checked where they enter the core. The
@@ -349,15 +335,18 @@ class Tape:
     map; v = vec(z) (B, 1, N*C_s) (CGNL only); m the kernel (B, V, V) over
     the V graph vertices (V = N, or N*C_s for CGNL), masked for CC, the
     tape's only (V, V) array; d (B, V) the degrees of the normalized graph,
-    None when the variant does not normalize; z_node (B, c, V) the signal
-    the polynomial filters (x^T for CC) and powers[k] = A^k z_node in the
-    same layout, with A applied by ``_Affinity``. mask is the read-only
-    bool criss-cross mask (CC only). config holds the forward's
-    ``_tape_config``; ``block_backward_batch`` raises ``ConfigError`` for a
-    config that differs from it.
+    None when the variant does not normalize; a the ``_Affinity`` that
+    applies A through m and d, built once with them and read by the
+    forward and the backward (on a frozen-A probe tape, the A applied);
+    z_node (B, c, V) the signal the polynomial
+    filters (x^T for CC) and powers[k] = A^k z_node in the same layout.
+    mask is the read-only bool criss-cross mask (CC only). config holds
+    the forward's ``_tape_config``; ``block_backward_batch`` raises
+    ``ConfigError`` for a config that differs from it.
     """
 
-    __slots__ = ("config", "x", "phi", "psi", "z", "v", "m", "mask", "d", "z_node", "powers")
+    __slots__ = ("config", "x", "phi", "psi", "z", "v", "m", "mask", "d", "a", "z_node",
+                 "powers")
 
     def __init__(self):
         for name in self.__slots__:
@@ -398,7 +387,7 @@ def _tape_config(cfg: BlockConfig) -> tuple:
 
 
 def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: BlockParams) -> Tape:
-    """Embed, kernel, mask and degrees of a validated stack."""
+    """Embed, kernel, mask, degrees and A of a validated stack."""
     recipe = _RECIPES[cfg.variant]
     t = _embed_stack(xv, cfg, params)
     left, right = (_t(getattr(t, name)) for name in recipe.pair)
@@ -408,6 +397,7 @@ def _build_affinity(xv, height: int, width: int, cfg: BlockConfig, params: Block
         t.m *= t.mask
     if recipe.normalization != "none":
         t.d = _degrees(t.m, recipe.normalization, cfg.kernel)
+    t.a = _Affinity(t.m, t.d, recipe.normalization)
     return t
 
 
@@ -475,22 +465,31 @@ class _Affinity:
     ``_symmetric_sum``, in one pass over M where M is several
     ``graph.SYMMETRIC_PANEL_BYTES`` panels. A thin stack keeps its long
     axis last: a (B, V, 1) column scaling took 14 us against 5.8 us for the
-    row at B = 32, N = 64. ``_affinity`` builds one from a tape.
+    row at B = 32, N = 64. ``_build_affinity`` builds one per tape, and
+    ``T`` is the same operator with its transposed flag flipped.
     """
 
     __slots__ = ("m", "row", "mode", "shift", "transposed")
 
-    def __init__(self, m: np.ndarray, row, mode: str, shift=None, transposed: bool = False):
+    def __init__(self, m: np.ndarray, d, mode: str):
         # row: d, or s = d^-1/2 for symmetric, as a (B, 1, V) row; shift:
         # per-sample powers of two that scale p in a random walk's M p
-        self.m, self.row, self.mode, self.shift = m, row, mode, shift
-        self.transposed = transposed
+        self.m, self.mode, self.shift, self.transposed = m, mode, None, False
+        self.row = None if d is None else d[:, None, :]
+        if mode == "symmetric":
+            self.row = 1.0 / np.sqrt(self.row)
+        elif d is not None and d.max() > _WIDE_DEGREE:
+            # p is scaled so that M p stays below 2^512 max|p|
+            top = self.row.max(axis=-1, keepdims=True)
+            self.shift = np.maximum(np.frexp(top)[1] - 512, 0)
 
     @property
     def T(self) -> "_Affinity":
         if self.mode == "symmetric":
             return self
-        return _Affinity(self.m, self.row, self.mode, self.shift, not self.transposed)
+        a_t = copy.copy(self)
+        a_t.transposed = not self.transposed
+        return a_t
 
     def __matmul__(self, p: np.ndarray) -> np.ndarray:
         m, row = self.m, self.row
@@ -512,28 +511,14 @@ class _Affinity:
         return np.ldexp(out, self.shift, out=out)
 
 
-def _affinity(t: Tape, cfg: BlockConfig) -> _Affinity:
-    """A of a tape, from its kernel M and degrees d."""
-    m, d, mode = t.m, t.d, _RECIPES[cfg.variant].normalization
-    if d is None:
-        return _Affinity(m, None, mode)
-    row = d[:, None, :]
-    if mode == "symmetric":
-        return _Affinity(m, 1.0 / np.sqrt(row), mode)
-    if d.max() <= _WIDE_DEGREE:
-        return _Affinity(m, row, mode)
-    # p is scaled so that M p stays below 2^512 max|p|
-    top = row.max(axis=-1, keepdims=True)
-    return _Affinity(m, row, mode, np.maximum(np.frexp(top)[1] - 512, 0))
-
-
 def _filter(cfg: BlockConfig, params: BlockParams, a, z_node, n_positions: int):
     """F(A, Z) of a batch as a (B, N, C_in) stack, and the channel-first
-    powers A^k z_node it applied; each term reads its power through the
-    transposed view of its (B, c, N) map."""
+    powers A^k z_node that ``a`` applied. Each term reads its power as a
+    (B, c, N) map, a free reshape (the identity but on the flattened graph,
+    where vec(Z) lays the rows of Z^T end to end), through its transposed view."""
     terms = [(k, sign * params.filters[role]) for k, role, sign in _variant_terms(cfg)]
-    read = _reader(cfg, n_positions)[0]
-    return spectral._polynomial(a, z_node, terms, lambda p: _t(read(p)))
+    return spectral._polynomial(a, z_node, terms,
+                                lambda p: _t(p.reshape(p.shape[:-2] + (-1, n_positions))))
 
 
 # A batched call's (V, V) arrays pass glibc's default 128 KiB mmap
@@ -598,10 +583,10 @@ def _forward_stack(xv, height: int, width: int, cfg: BlockConfig, params: BlockP
     through it."""
     if a is None:
         t = _build_affinity(xv, height, width, cfg, params)
-        a = _affinity(t, cfg)
     else:
         t = _embed_stack(xv, cfg, params)
-    f, t.powers = _filter(cfg, params, a, t.z_node, height * width)
+        t.a = a
+    f, t.powers = _filter(cfg, params, t.a, t.z_node, height * width)
     return xv + f, t
 
 
@@ -710,7 +695,7 @@ def _affinity_factors(t: Tape, recipe: _Recipe, kernel: str, u, v, av, atu):
         # -rho pairs with a ones row on either side
         neg_rho = (np.ones(w) @ (u * av + v * atu))[:, None, :] / (-4.0 * d)
         # [s u, s v] as one product; 0.5 (s u) is (0.5 s) u to the bit
-        suv = (1.0 / np.sqrt(d)) * np.concatenate([u, v], axis=-2)
+        suv = t.a.row * np.concatenate([u, v], axis=-2)
         left, right = [0.5 * suv, neg_rho, ones], [suv[:, w:], suv[:, :w], ones, neg_rho]
     elif recipe.normalization == "random_walk":
         # A = D^-1 M: dL/dM = (G - r 1^T) / d with r = rowsum(G * A) = rowsum(u * A v)
@@ -799,10 +784,11 @@ def block_backward_batch(
 
 
 def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: np.ndarray):
-    """Reverse mode through F = sum of sign * read(A^k z_node) W_role over
-    a stack: each role's gradient summed over it, dL/dz_node, and
-    dL/dA as the factors (u, v) of dL/dA = u^T v with the products A v and
-    A^T u (None without ``backprop_affinity``), all channel-first.
+    """Reverse mode through F = sum of sign * A^k z_node W_role over a
+    stack, each power read as its (c, N) map as in ``_filter``: each role's
+    gradient summed over it, dL/dz_node, and dL/dA as the factors (u, v)
+    of dL/dA = u^T v with the products A v and A^T u (None without
+    ``backprop_affinity``), all channel-first.
 
     g_p[k], the gradient of powers[k] = A^k z_node, starts from the terms
     that read powers[k] and then takes A^T g_p[k + 1] from the power above,
@@ -810,21 +796,21 @@ def _polynomial_backward(tape: Tape, cfg: BlockConfig, params: BlockParams, g: n
     (V, V) product for dL/dA, so the cost is linear in K.
     """
     terms = _variant_terms(cfg)
-    read, unread = _reader(cfg, tape.x.shape[1])
     top = max(k for k, _, _ in terms)
     # every term's two products with g as one each: the maps the terms
     # read stacked as rows, and their signed weights stacked likewise
     c = filter_shape(cfg)[0]
-    g_w = _sum_products(_rows([read(tape.powers[k]) for k, _, _ in terms]), g)
+    g_w = _sum_products(_rows([tape.powers[k].reshape(len(g), -1, g.shape[1])
+                               for k, _, _ in terms]), g)
     g_read = np.concatenate([sign * params.filters[role] for _, role, sign in terms]) @ _t(g)
     per_role = {}
     g_p = [None] * (top + 1)
     for i, (k, role, sign) in enumerate(terms):
         contrib = sign * g_w[i * c:(i + 1) * c]
         per_role[role] = contrib if role not in per_role else per_role[role] + contrib
-        r = unread(g_read[:, i * c:(i + 1) * c])
+        r = g_read[:, i * c:(i + 1) * c].reshape(tape.z_node.shape)
         g_p[k] = r if g_p[k] is None else g_p[k] + r
-    a_t = _affinity(tape, cfg).T
+    a_t = tape.a.T
     a_t_g = [None] * (top + 1)
     for k in range(top, 0, -1):
         a_t_g[k] = r = a_t @ g_p[k]

@@ -142,7 +142,7 @@ def check_block_gradients(
     params = blocks.random_params(cfg, rng)
 
     y, tape = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tape, cfg)
+    frozen_a = None if cfg.backprop_affinity else tape.a
     per_call = max(1, _PROBE_CALL_BYTES // (8 * blocks._vertices(cfg, n) ** 2))
     points = [("x", x), *params.items()]
     ends = np.cumsum([point.size for _, point in points])

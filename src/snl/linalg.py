@@ -90,7 +90,10 @@ def save_csv(m: np.ndarray, path) -> None:
 
 def load_csv(path) -> np.ndarray:
     with open(path) as fh:
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        except ValueError as exc:
+            raise ShapeError(f"{path}: non-numeric CSV cell ({exc})") from None
     if not rows:
         raise ShapeError(f"{path}: empty CSV matrix")
     if len({len(r) for r in rows}) != 1:

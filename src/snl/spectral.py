@@ -4,10 +4,10 @@
 forming A^k; ``poly_filter_apply`` (scalar coefficients),
 ``blocks.generalized_forward`` (one weight matrix per power) and the block
 forward all call it. ``spectral_oracle`` recomputes a filter through an
-explicit eigendecomposition (``linalg.eigh``), independent of the iterated
-products whichever eigensolver computes it, and is the ground truth the
-equivalence tests check against. Public entry points validate their
-operands; the products after that use ``@``.
+explicit eigendecomposition (LAPACK's, ``np.linalg.eigh``), independent of
+the iterated products, and is the ground truth the equivalence tests check
+against. Public entry points validate their operands once, where they
+enter; the products after that use ``@``.
 """
 
 from dataclasses import dataclass
@@ -125,18 +125,22 @@ def _polynomial(a: np.ndarray, z: np.ndarray, terms, read=None):
 def spectral_oracle(a: AffinityMatrix, z: np.ndarray, theta) -> np.ndarray:
     """Exact spectral evaluation of the monomial filter on a symmetric A.
 
-    Eigendecomposes A, forms the response p(lambda) = sum_k theta_k
-    lambda^k per eigenvalue, and returns U diag(p) U^T Z. Ground truth for
-    ``poly_filter_apply``.
+    Eigendecomposes A with LAPACK (``np.linalg.eigh``), forms the response
+    p(lambda) = sum_k theta_k lambda^k per eigenvalue, and returns
+    U diag(p) U^T Z. Ground truth for ``poly_filter_apply``. Its operands
+    are validated once, here: U diag(p) U^T Z does not depend on an
+    eigenvector's sign, so LAPACK's basis needs no sign fix and no checks.
     """
     v = a.values
-    if not np.array_equal(v, v.T):
+    if v.ndim != 2 or not np.array_equal(v, v.T):
         raise PreconditionError(
-            "spectral_oracle requires an exactly symmetric affinity "
+            "spectral_oracle requires one exactly symmetric (N, N) affinity "
             "(non-symmetric operators have complex eigenvalues)"
         )
     z = linalg.as_matrix(z)
+    if z.shape[0] != v.shape[0]:
+        raise ShapeError(f"signal has {z.shape[0]} rows, A has N = {v.shape[0]}")
     theta = _coefficients(theta)
-    dec = linalg.eigh(v)
-    response = np.polynomial.polynomial.polyval(dec.eigenvalues, theta)
-    return apply_generalized_filter(dec.eigenvectors, response, z)
+    eigenvalues, u = np.linalg.eigh(v)
+    response = np.polynomial.polynomial.polyval(eigenvalues, theta)
+    return u @ (response[:, None] * (u.T @ z))

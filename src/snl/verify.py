@@ -314,8 +314,9 @@ def check_tied_weight_identities():
     t = blocks._build_affinity(xs, 3, 3, cfg, params)
     a = blocks._dense_affinity(t.m, cfg).values
     n = xs.shape[1]
-    nl = _finite(blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, n)[0])
-    ns = _finite(blocks._filter(cfg_ns, params, blocks._affinity(t, cfg_ns), t.z_node, n)[0])
+    # NS filters over NL's random-walk A, so one tape's operator serves both
+    nl = _finite(blocks._filter(cfg, params, t.a, t.z_node, n)[0])
+    ns = _finite(blocks._filter(cfg_ns, params, t.a, t.z_node, n)[0])
     for i, w in enumerate(params.filters["w"]):
         cheb = blocks.generalized_forward(a[i], t.z[i].T, [np.zeros_like(w), w])
         if not np.array_equal(nl[i], cheb):

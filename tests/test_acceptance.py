@@ -129,7 +129,7 @@ def test_criterion_4_unification_table():
             cfg = BlockConfig(variant=variant, c_in=4, c_s=2)
             params = blocks.random_params(cfg, np.random.default_rng(seed + 50))
             _, t = blocks.block_forward_batch(x.values[None], 3, 3, cfg, params)
-            got = blocks._filter(cfg, params, blocks._affinity(t, cfg), t.z_node, 9)[0][0]
+            got = blocks._filter(cfg, params, t.a, t.z_node, 9)[0][0]
             a = blocks.build_block_affinity(x, cfg, params).values
             if variant == "CGNL":
                 fv = blocks.generalized_forward(

@@ -33,8 +33,7 @@ def one_sample_tape(x, cfg, params):
 
 def tape_filter(cfg, params, tape):
     """F(A, Z) of a one-sample tape, with A applied as the core applies it."""
-    return blocks._filter(cfg, params, blocks._affinity(tape, cfg), tape.z_node,
-                          tape.x.shape[1])[0][0]
+    return blocks._filter(cfg, params, tape.a, tape.z_node, tape.x.shape[1])[0][0]
 
 
 def dense_affinity(cfg, params, xs, h, w):
@@ -496,7 +495,7 @@ def test_swapped_product_is_the_transposed_product(b, n, c_s):
             got = blocks._t(blocks._Affinity(m, None, "none").T @ q_t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
             want = (m @ q + want) / 2
-            got = blocks._t(blocks._Affinity(m, np.ones((b, 1, n)), "symmetric") @ q_t)
+            got = blocks._t(blocks._Affinity(m, np.ones((b, n)), "symmetric") @ q_t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (scale, kernel)
 
 
@@ -729,7 +728,7 @@ def test_affinity_operator_matches_the_dense_affinity(variant, kernel, h, w):
                                                   np.abs(params.w_z))
     _, t = blocks.block_forward_batch(xs, h, w, cfg, params)
     dense = dense_affinity(cfg, params, xs, h, w)
-    a = blocks._affinity(t, cfg)
+    a = t.a
     p = rng.normal(size=dense.shape[:2] + (3,))
     p_t = np.ascontiguousarray(blocks._t(p))  # the operator's channel-first layout
     for got, want in ((blocks._t(a @ p_t), dense @ p),
@@ -790,7 +789,7 @@ def test_symmetric_affinity_and_degrees_match_the_dense_route(variant, b):
     assert np.abs(t.d - graph.degrees(m_hat.values)).max() <= 1e-13 * t.d.max()
     dense = dense_affinity(cfg, params, xs, 32, 32)
     p = rng.normal(size=(b, 1024, 3))
-    got = blocks._t(blocks._affinity(t, cfg) @ np.ascontiguousarray(blocks._t(p)))
+    got = blocks._t(t.a @ np.ascontiguousarray(blocks._t(p)))
     assert np.abs(got - dense @ p).max() <= 1e-13 * np.abs(dense @ p).max()
 
 
@@ -814,7 +813,7 @@ def test_one_panel_stacks_run_two_products_bitwise(variant):
 
     assert all(np.array_equal(t.powers[k + 1], a(t.powers[k])) for k in range(len(t.powers) - 1))
     p = rng.normal(size=(32, 2, 64))
-    assert np.array_equal(blocks._affinity(t, cfg) @ p, a(p))
+    assert np.array_equal(t.a @ p, a(p))
 
 
 def test_random_walk_product_stays_finite_at_the_exp_guard():
@@ -892,6 +891,40 @@ def test_forward_backward_pair_builds_one_affinity(variant, monkeypatch):
     assert len(calls) == 1
     assert blocks._held is None
     assert_same_gradients(got, want)
+
+
+def count_affinity_operators(monkeypatch) -> list:
+    """The normalization of each ``_Affinity`` constructed from now on."""
+    built = []
+
+    class Counted(blocks._Affinity):
+        __slots__ = ()
+
+        def __init__(self, m, d, mode):
+            built.append(mode)
+            super().__init__(m, d, mode)
+
+    monkeypatch.setattr(blocks, "_Affinity", Counted)
+    return built
+
+
+@pytest.mark.parametrize("backprop", [True, False])
+@pytest.mark.parametrize("variant", blocks.VARIANTS)
+def test_tape_carries_the_one_affinity_operator_of_a_pair(variant, backprop, monkeypatch):
+    # the forward builds the tape's operator and the backward reads it and
+    # its transpose; a frozen-A probe call applies the tape's and builds none
+    cfg, params, xs, gs = batch_case(variant, "exp_dot", backprop, 3, 4)
+    want_y, want_t = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    want = blocks.block_backward_batch(want_t, cfg, params, gs)
+    built = count_affinity_operators(monkeypatch)
+    y, t = blocks.block_forward_batch(xs, 3, 4, cfg, params)
+    got = blocks.block_backward_batch(t, cfg, params, gs)
+    assert built == [blocks._RECIPES[variant].normalization]
+    assert np.array_equal(y, want_y)
+    assert_same_gradients(got, want)
+    probe_y, probe_t = blocks._forward_stack(xs, 3, 4, cfg, params, t.a)
+    assert len(built) == 1 and probe_t.a is t.a
+    assert np.array_equal(probe_y, y)
 
 
 def _mutations(cfg, params):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from snl import blocks, cli, linalg, verify
+from snl.errors import ShapeError
 
 
 def test_verify_filter_no_match_is_usage_error(capsys):
@@ -267,6 +268,62 @@ def test_bad_position_or_seed_is_usage_error(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err
+
+
+def export_files(tmp_path):
+    """A 4x4 feature CSV and an SNL block config for export-attention."""
+    feat, block = tmp_path / "feat.csv", tmp_path / "block.json"
+    linalg.save_csv(np.random.default_rng(5).normal(0.0, 0.3, size=(16, 4)), feat)
+    block.write_text(json.dumps({"variant": "SNL", "c_in": 4, "c_s": 2}))
+    return feat, block
+
+
+def test_non_numeric_csv_cell_is_an_error_line(tmp_path, capsys):
+    # a ShapeError, as a ragged CSV gives, rather than a ValueError traceback
+    feat, block = export_files(tmp_path)
+    feat.write_text(feat.read_text().replace(",", ",x", 1))
+    with pytest.raises(ShapeError, match="non-numeric"):
+        linalg.load_csv(feat)
+    code = cli.run(["export-attention", "--input", str(feat), "--block", str(block),
+                    "--positions", "0", "--out", str(tmp_path / "att")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--input", "--block"])
+def test_export_attention_file_flag_naming_a_directory_is_usage_error(tmp_path, capsys, flag):
+    feat, block = export_files(tmp_path)
+    files = {"--input": str(feat), "--block": str(block), flag: str(tmp_path)}
+    code = cli.run(["export-attention", "--input", files["--input"], "--block",
+                    files["--block"], "--positions", "0", "--out", str(tmp_path / "att")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "gradcheck", "train", "export-attention",
+                                     "bench"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # an error line and exit 2 rather than a FileExistsError traceback;
+    # train and bench check --out before they start work
+    out = tmp_path / "taken"
+    out.write_text("")
+    feat, block = export_files(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2, "eval_every": 2, "dataset": {"n_samples": 8}}))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli.harness, "gen_dataset", no_work)
+    flags = {"verify": ["--filter", "matmul"], "gradcheck": ["--variant", "NL"],
+             "train": ["--config", str(cfg)],
+             "export-attention": ["--input", str(feat), "--block", str(block),
+                                  "--positions", "0"],
+             "bench": ["--sizes", "16"]}[command]
+    assert cli.run([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == ""
 
 
 def test_usage_error_exit_code():

@@ -200,7 +200,7 @@ def per_probe_differences(cfg, seed, height, width):
     x = rng.normal(0.0, 0.7, size=(height * width, cfg.c_in))
     params = blocks.random_params(cfg, rng)
     _, tape = blocks.block_forward_batch(x[None], height, width, cfg, params)
-    frozen_a = None if cfg.backprop_affinity else blocks._affinity(tape, cfg)
+    frozen_a = None if cfg.backprop_affinity else tape.a
 
     def loss(name, value):
         xv, p = x, copy.deepcopy(params)

@@ -115,12 +115,16 @@ def test_spectral_oracle_agrees_with_poly_filter():
         assert linalg.rel_error(got, want) < 1e-10
 
 
-def test_spectral_oracle_degenerate_spectrum():
-    # uniform affinity (complete graph): A = 11^T / n has eigenvalue 0 with
-    # multiplicity n - 1, so the eigenbasis is not unique
-    n = 16
+def uniform_affinity(n):
+    """The complete graph's A = 11^T / n, whose eigenvalue 0 has multiplicity
+    n - 1, so its eigenbasis is not unique."""
     raw = graph.compute_affinity(np.zeros((n, 3)), np.zeros((n, 3)), "exp_dot")
-    a = graph.normalize(graph.symmetrize(raw), "symmetric")
+    return graph.normalize(graph.symmetrize(raw), "symmetric")
+
+
+def test_spectral_oracle_degenerate_spectrum():
+    n = 16
+    a = uniform_affinity(n)
     lam = linalg.eigh(a.values).eigenvalues
     assert np.max(np.abs(lam - np.r_[np.zeros(n - 1), 1.0])) < 1e-12
     rng = np.random.default_rng(9)
@@ -129,6 +133,31 @@ def test_spectral_oracle_degenerate_spectrum():
     got = spectral.poly_filter_apply(a, z, FilterSpec(order=4, theta=theta))
     want = spectral.spectral_oracle(a, z, theta)
     assert linalg.rel_error(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 9, 16, 64, "uniform"])
+def test_spectral_oracle_is_the_sign_fixed_eigenbasis_filter(n):
+    # LAPACK's eigenvectors, taken without linalg.eigh's sign fix, give
+    # U diag(p) U^T z to the bit: the product does not depend on the signs
+    rng = np.random.default_rng(12)
+    a = uniform_affinity(16) if n == "uniform" else sym_affinity(rng, n)
+    z = rng.normal(size=(a.values.shape[0], 2))
+    theta = rng.normal(size=4)
+    dec = linalg.eigh(a.values)
+    response = np.polynomial.polynomial.polyval(dec.eigenvalues, theta)
+    want = spectral.apply_generalized_filter(dec.eigenvectors, response, z)
+    assert np.array_equal(spectral.spectral_oracle(a, z, theta), want)
+
+
+def test_spectral_oracle_validates_its_signal():
+    a = sym_affinity(np.random.default_rng(13), 5)
+    with pytest.raises(ShapeError):
+        spectral.spectral_oracle(a, np.ones((4, 1)), [1.0])
+    for bad in (np.nan, np.inf):
+        z = np.ones((5, 2))
+        z[3, 1] = bad
+        with pytest.raises(NumericError):
+            spectral.spectral_oracle(a, z, [1.0])
 
 
 def test_spectral_oracle_rejects_asymmetric():
