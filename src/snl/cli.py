@@ -2,8 +2,8 @@
 attention export, and benchmarking.
 
 Exit codes: 0 = success, 1 = a verification/gradcheck suite or the bench
-K-scaling gate failed, 2 = usage or configuration error, or a file that
-cannot be read or written.
+K-scaling gate failed, 2 = usage or configuration error, a file that
+cannot be read or written, or a malformed input matrix.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import blocks, gradcheck, graph, harness, linalg, verify
 from .blocks import BlockConfig
-from .errors import ConfigError, PreconditionError, SnlError
+from .errors import ConfigError, PreconditionError, ShapeError, SnlError
 from .graph import FeatureMap
 
 
@@ -28,6 +28,8 @@ def _write_lines(path, lines):
 
 
 def _cmd_verify(args) -> int:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # before the groups, which take seconds
     results = verify.run_verify(args.filter)
     if not results:
         print(f"no invariant group matches filter {args.filter!r}", file=sys.stderr)
@@ -39,7 +41,6 @@ def _cmd_verify(args) -> int:
     n_pass = sum(r["passed"] for r in results)
     print(f"{n_pass}/{len(results)} invariant groups passed")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         rows = ["name,passed,detail"]
         rows += [f"{r['name']},{int(r['passed'])},\"{r['detail']}\"" for r in results]
         _write_lines(os.path.join(args.out, "verify.csv"), rows)
@@ -62,6 +63,8 @@ def _gradcheck_cases(variants, seed: int, tol: float):
 
 def _cmd_gradcheck(args) -> int:
     variants = [args.variant] if args.variant else list(blocks.VARIANTS)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # before the cases, which take seconds each
     all_pass = True
     csv_rows = ["variant,backprop_affinity,parameter,max_abs_error,max_rel_error,checked_entries,passed"]
     for variant, backprop, reports in _gradcheck_cases(variants, args.seed, args.tol):
@@ -77,7 +80,6 @@ def _cmd_gradcheck(args) -> int:
                 f"{r.checked_entries},{int(r.passed)}"
             )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_lines(os.path.join(args.out, "gradcheck.csv"), csv_rows)
     return 0 if all_pass else 1
 
@@ -167,7 +169,10 @@ def _cmd_export_attention(args) -> int:
                           f"got {args.positions!r}") from None
     if not positions:
         raise ConfigError("no positions given")
-    values = linalg.load_matrix(args.input)
+    try:
+        values = linalg.load_matrix(args.input)
+    except ShapeError as exc:  # a malformed file is bad input, as a missing one is
+        raise ConfigError(str(exc)) from None
     with open(args.block) as fh:
         cfg = BlockConfig.from_json(fh.read())
     n, c = values.shape

@@ -34,7 +34,7 @@ EXP_GUARD = 700.0
 # bytes when one matrix holds at least two of them (V >= 256), and work
 # on each panel while it is still in cache. At V = 1024 (B = 1, 32 rows a
 # panel) the blocks_n1024 mix ran at 0.891-0.924x of whole (V, V) passes
-# in three runs of ``scripts/block_pairs.py`` (58 of 60 rounds won,
+# in three runs of ``scripts/pairs.py blocks_n1024`` (58 of 60 rounds won,
 # BENCH_19.json); 1 MiB panels for these two stages read 1.095x of 256 KiB
 # (20 rounds: the kernel 1.15x, the backward 1.28x). Smaller matrices stay
 # whole: cut into row halves, a B = 32, V = 64 SGD step ran 1.10-1.11x
@@ -43,7 +43,7 @@ EXP_GUARD = 700.0
 PANEL_BYTES = 256 * 1024
 # A stack of more than this many matrices stays whole as well: each panel
 # takes one small product per matrix, and past 32 of them that dispatch
-# outweighs the cache (``block_pairs.py --stacks``, two runs: 1.08-1.13x
+# outweighs the cache (``pairs.py blocks_stacks``, two runs: 1.08-1.13x
 # at B = 64, V = 256, and 1.57-1.65x at B = 126, V = 182, one row a
 # panel). Stacks of 2-32 matrices of V = 256-1024 ran at 0.70-1.07x,
 # most below 1.
@@ -53,8 +53,8 @@ PANEL_MATRICES = 32
 # most this many bytes when one matrix holds at least two of them (V >=
 # 512) and the stack at most PANEL_MATRICES, where two whole products read
 # M twice. At V = 1024 (B = 1, 128 rows a panel) the blocks_n1024 mix's
-# products with A read 0.66-0.72x of two whole products (``block_pairs.py
-# --stages``, two runs, BENCH_21.json). In the mix, 1 MiB panels read
+# products with A read 0.66-0.72x of two whole products (``pairs.py
+# blocks_n1024 --stages``, two runs, BENCH_21.json). In the mix, 1 MiB panels read
 # 0.954x of 256 KiB ones and 0.996x of 512 KiB ones (20 rounds each).
 # Smaller matrices stay whole: one product of a (32, 256, 256) stack took
 # 1.17x as long in 16-row panels as the two whole products.

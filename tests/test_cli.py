@@ -278,16 +278,29 @@ def export_files(tmp_path):
     return feat, block
 
 
-def test_non_numeric_csv_cell_is_an_error_line(tmp_path, capsys):
-    # a ShapeError, as a ragged CSV gives, rather than a ValueError traceback
+@pytest.mark.parametrize("fault", ["ragged", "truncated"])
+def test_malformed_input_matrix_is_usage_error(tmp_path, capsys, fault):
+    # load_matrix's ShapeError is bad input, so an error line and exit 2
+    # as for a missing file, rather than a traceback or the failed-suite 1
     feat, block = export_files(tmp_path)
-    feat.write_text(feat.read_text().replace(",", ",x", 1))
-    with pytest.raises(ShapeError, match="non-numeric"):
-        linalg.load_csv(feat)
+    if fault == "non-numeric":
+        feat.write_text(feat.read_text().replace(",", ",x", 1))
+    elif fault == "ragged":
+        feat.write_text(feat.read_text() + "1.0,2.0\n")
+    else:
+        linalg.save_binary(linalg.load_csv(feat), feat)
+        feat.write_bytes(feat.read_bytes()[:-8])
+    with pytest.raises(ShapeError, match=fault):
+        linalg.load_matrix(feat)
     code = cli.run(["export-attention", "--input", str(feat), "--block", str(block),
                     "--positions", "0", "--out", str(tmp_path / "att")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_non_numeric_csv_cell_is_an_error_line(tmp_path, capsys):
+    test_malformed_input_matrix_is_usage_error(tmp_path, capsys, "non-numeric")
 
 
 @pytest.mark.parametrize("flag", ["--input", "--block"])
@@ -305,7 +318,7 @@ def test_export_attention_file_flag_naming_a_directory_is_usage_error(tmp_path, 
                                      "bench"])
 def test_out_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch, command):
     # an error line and exit 2 rather than a FileExistsError traceback;
-    # train and bench check --out before they start work
+    # every command that runs work checks --out before it starts
     out = tmp_path / "taken"
     out.write_text("")
     feat, block = export_files(tmp_path)
@@ -316,6 +329,8 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, monkeypatch, command
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(cli.harness, "gen_dataset", no_work)
+    monkeypatch.setattr(cli.verify, "run_verify", no_work)
+    monkeypatch.setattr(cli.gradcheck, "check_block_gradients", no_work)
     flags = {"verify": ["--filter", "matmul"], "gradcheck": ["--variant", "NL"],
              "train": ["--config", str(cfg)],
              "export-attention": ["--input", str(feat), "--block", str(block),
