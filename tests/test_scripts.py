@@ -51,16 +51,11 @@ HEADER = {"train_snl": {"steps_per_block": 25, "eval_samples": 512},
           "oracle_checks": {}}
 
 
-FLAGS = {"blocks_n1024": ["--stages"], "blocks_stacks": ["--seed", "3"]}
-
-
-@pytest.mark.parametrize("workload", list(ROWS))
-def test_pairs_runs_each_workload_on_one_tree(workload):
+def run_pairs(workload, *flags):
     # the same tree on both sides, one counted round: every row in order
     # (--stages: each stage after the mix), each with quartiles, one round
     # won or lost and the gain rule's inputs, and outputs that do not differ
     src = os.path.dirname(os.path.dirname(snl.__file__))
-    flags = FLAGS.get(workload, [])
     out = subprocess.run([sys.executable, PAIRS, workload, src, src, "--rounds", "1", *flags],
                          capture_output=True, text=True, check=True, timeout=300).stdout
     lines = out.splitlines()
@@ -82,10 +77,28 @@ def test_pairs_runs_each_workload_on_one_tree(workload):
         assert s["parent_iqr"] == 0.0
         assert s["median_gap"] == pytest.approx(s["parent"]["median"] - s["change"]["median"],
                                                 abs=2e-3)
-    if stages:
-        for side in ("parent", "change"):
-            spent = sum(result[stage][side]["median"] for stage in STAGES)
-            assert 0 < spent < result["mix"][side]["median"]
+    return result
+
+
+@pytest.mark.parametrize("workload", ["train_snl", "oracle_checks"])
+def test_pairs_runs_each_workload_on_one_tree(workload):
+    run_pairs(workload)
+
+
+@pytest.mark.parametrize("stacks", [False, True])
+def test_block_pairs_times_the_block_mix_of_two_trees(stacks):
+    # a row per configuration (or stack) and one for the mix, at --seed 3
+    run_pairs("blocks_stacks" if stacks else "blocks_n1024", "--seed", "3")
+
+
+def test_block_pairs_times_each_stage_of_the_mix():
+    # --stages wraps the kernel, the degrees, the products with A and the
+    # affinity backward of both trees and reports each side's time in each
+    # over the mix, after the mix row
+    result = run_pairs("blocks_n1024", "--stages")
+    for side in ("parent", "change"):
+        spent = sum(result[stage][side]["median"] for stage in STAGES)
+        assert 0 < spent < result["mix"][side]["median"]
 
 
 def test_block_pairs_mix_is_perfbench_block_mix():
